@@ -24,6 +24,7 @@ from .errors import InsufficientDataError, ParameterError
 from .expfam_frontier import frontier_kl, kl_endpoints
 
 SMOOTHING_EPS = 1e-10  # additive smoothing for quantized histograms
+BLOCK_ENTRIES = 250_000  # cap on a query x anchor distance block (~2 MB of float64)
 
 
 def as_sample_matrix(samples) -> np.ndarray:
@@ -31,11 +32,50 @@ def as_sample_matrix(samples) -> np.ndarray:
     arr = np.asarray(samples, dtype=float)
     if arr.ndim == 1:
         arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise ParameterError("samples must be an n x d matrix with n >= 1")
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ParameterError("samples must be an n x d matrix with n >= 1 and d >= 1")
     if not np.all(np.isfinite(arr)):
         raise ParameterError("samples must be finite")
     return arr
+
+
+def _sqdist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of x and of c.
+
+    One matrix product, |x|^2 - 2 x.c + |c|^2, clamped at 0. Its rounding
+    error is about d * 2^-53 * (|x|^2 + |c|^2).
+    """
+    d2 = x @ c.T
+    # in place, and in the order (|x|^2 - 2 x.c) + |c|^2
+    d2 *= -2.0
+    d2 += (x * x).sum(axis=1)[:, None]
+    d2 += (c * c).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _tie_band(x: np.ndarray, c: np.ndarray) -> float:
+    """Gap below which _sqdist's rounding could flip a comparison. It is far
+    above that rounding error, so every decision outside the band is exact;
+    decisions inside it are left to the explicit difference form."""
+    return 1e-9 * float((x * x).sum(axis=1).max() + (c * c).sum(axis=1).max())
+
+
+def _nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the nearest row of c for each row of x, and its squared distance.
+
+    Rows whose two smallest distances lie within the tie band are settled
+    by the explicit difference form, so the labels are those of an exact
+    argmin: the lowest index on ties.
+    """
+    d2 = _sqdist(x, c)
+    labels = d2.argmin(axis=1)
+    best = d2[np.arange(x.shape[0]), labels]
+    close = d2 <= (best + _tie_band(x, c))[:, None]
+    # every row has its own minimum close; count per row only if some has more
+    if np.count_nonzero(close) > x.shape[0]:
+        for i in np.flatnonzero(np.count_nonzero(close, axis=1) > 1):
+            labels[i] = ((x[i] - c) ** 2).sum(axis=1).argmin()
+    return labels, best
 
 
 @dataclass(frozen=True)
@@ -47,9 +87,7 @@ class QuantizationModel:
     seed: int
 
     def assign(self, samples) -> np.ndarray:
-        samples = as_sample_matrix(samples)
-        d2 = ((samples[:, None, :] - self.centers[None, :, :]) ** 2).sum(axis=2)
-        return np.argmin(d2, axis=1)
+        return _nearest(as_sample_matrix(samples), self.centers)[0]
 
 
 def fit_gaussian(samples, ridge: float = 0.0) -> GaussianParams:
@@ -88,15 +126,18 @@ def _kmeans_pp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np
 
 def _lloyd(samples: np.ndarray, centers: np.ndarray, max_iter: int = 300, tol: float = 1e-6):
     """Lloyd iterations until the relative inertia change drops below tol."""
+    k = centers.shape[0]
+    columns = np.ascontiguousarray(samples.T)
     prev_inertia = np.inf
     for _ in range(max_iter):
-        d2 = ((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        inertia = float(d2[np.arange(samples.shape[0]), labels].sum())
-        for j in range(centers.shape[0]):
-            members = samples[labels == j]
-            if members.shape[0] > 0:
-                centers[j] = members.mean(axis=0)
+        labels, best = _nearest(samples, centers)
+        inertia = float(best.sum())
+        # bincount adds each cluster's rows in sample order, as a per-cluster
+        # mean over axis 0 does for d >= 2; empty clusters keep their center
+        counts = np.bincount(labels, minlength=k)
+        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in columns])
+        live = counts > 0
+        centers[live] = sums[live] / counts[live, None]
         if prev_inertia < np.inf and prev_inertia > 0:
             if abs(prev_inertia - inertia) / prev_inertia < tol:
                 break
@@ -153,17 +194,22 @@ def knn_support_metrics(samples_p, samples_q, k: int = 3) -> tuple[float, float]
 
 
 def _fraction_covered(anchors: np.ndarray, queries: np.ndarray, k: int) -> float:
-    tree = cKDTree(anchors)
     # k+1 because each anchor is its own nearest neighbour
-    radii = tree.query(anchors, k=k + 1)[0][:, -1]
-    rmax = float(radii.max())
+    radii = cKDTree(anchors).query(anchors, k=k + 1)[0][:, -1]
+    r2 = radii**2
+    band = _tie_band(queries, anchors)
+    rows = max(1, BLOCK_ENTRIES // anchors.shape[0])
     covered = 0
-    for x in queries:
-        idx = tree.query_ball_point(x, rmax)
-        if idx:
-            d = np.sqrt(((anchors[idx] - x) ** 2).sum(axis=1))
-            if np.any(d <= radii[idx]):
-                covered += 1
+    for start in range(0, queries.shape[0], rows):
+        block = queries[start:start + rows]
+        d2 = _sqdist(block, anchors)
+        d2 -= r2
+        margin = d2.min(axis=1)
+        # near-ties are settled by the explicit difference form
+        unsure = np.abs(margin) <= band
+        covered += int(np.count_nonzero(margin[~unsure] <= 0))
+        for x in block[unsure]:
+            covered += int(np.any(np.sqrt(((anchors - x) ** 2).sum(axis=1)) <= radii))
     return covered / queries.shape[0]
 
 

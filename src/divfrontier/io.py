@@ -34,13 +34,19 @@ def _decode_number(x) -> float:
     return float(x)
 
 
+def _load_json(path: Path):
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.msg, path=str(path), line=exc.lineno) from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
+
+
 def load_distribution(path) -> Histogram | GaussianParams:
     """Read a {"type": "histogram"|"gaussian", ...} JSON spec."""
     path = Path(path)
-    try:
-        spec = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path=str(path), line=exc.lineno) from exc
+    spec = _load_json(path)
     if not isinstance(spec, dict) or "type" not in spec:
         raise ParseError("distribution spec must be an object with a 'type' key", path=str(path))
     kind = spec["type"]
@@ -53,6 +59,9 @@ def load_distribution(path) -> Histogram | GaussianParams:
             return GaussianParams(mean, cov)
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r} in {kind} spec", path=str(path)) from exc
+    except (TypeError, ValueError) as exc:
+        # a scalar where a list belongs, or a ragged matrix
+        raise ParseError(f"malformed {kind} spec: {exc}", path=str(path)) from exc
     raise ParseError(f"unknown distribution type {kind!r}", path=str(path))
 
 
@@ -71,23 +80,26 @@ def load_samples_csv(path) -> np.ndarray:
     path = Path(path)
     rows: list[list[float]] = []
     width = None
-    with path.open(newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
-            if not row:
-                continue
-            try:
-                values = [float(v) for v in row]
-            except ValueError as exc:
-                raise ParseError(f"non-numeric value: {exc}", path=str(path), line=lineno) from exc
-            if width is None:
-                width = len(values)
-            elif len(values) != width:
-                raise ParseError(
-                    f"row has {len(values)} columns, expected {width}",
-                    path=str(path),
-                    line=lineno,
-                )
-            rows.append(values)
+    try:
+        with path.open(newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row:
+                    continue
+                try:
+                    values = [float(v) for v in row]
+                except ValueError as exc:
+                    raise ParseError(f"non-numeric value: {exc}", path=str(path), line=lineno) from exc
+                if width is None:
+                    width = len(values)
+                elif len(values) != width:
+                    raise ParseError(
+                        f"row has {len(values)} columns, expected {width}",
+                        path=str(path),
+                        line=lineno,
+                    )
+                rows.append(values)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"cannot read file: {exc}", path=str(path)) from exc
     if not rows:
         raise ParseError("no samples found", path=str(path))
     return np.asarray(rows, dtype=float)
@@ -133,10 +145,9 @@ def read_pairs_csv(path) -> list[tuple[float, ...]]:
 def load_pipeline_config(path) -> PipelineConfig:
     """Read {k_clusters, knn_k, ridge, alphas: [...], grid_size, seed} JSON."""
     path = Path(path)
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, path=str(path), line=exc.lineno) from exc
+    raw = _load_json(path)
+    if not isinstance(raw, dict):
+        raise ParseError("pipeline config must be a JSON object", path=str(path))
     defaults = PipelineConfig()
     try:
         alphas = tuple(Alpha.parse(a) for a in raw.get("alphas", [])) or defaults.alphas

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from divfrontier import estimation
 from divfrontier import (
     GaussianParams,
     Histogram,
@@ -160,6 +162,144 @@ class TestKnnSupportMetrics:
             knn_support_metrics(x, x, k=0)
         with pytest.raises(ParameterError):
             knn_support_metrics(x, x, k=5)
+
+
+def test_zero_width_samples_rejected():
+    x = np.zeros((10, 0))
+    with pytest.raises(ParameterError):
+        knn_support_metrics(x, x, k=3)
+    with pytest.raises(ParameterError):
+        quantize(x, x, k=2)
+
+
+# Reference implementations: the explicit difference forms the blocked
+# squared-distance kernel replaced. Labels, centers and coverage must match
+# them exactly.
+
+def lloyd_reference(samples, centers, max_iter=300, tol=1e-6):
+    prev_inertia = np.inf
+    for _ in range(max_iter):
+        d2 = ((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        inertia = float(d2[np.arange(samples.shape[0]), labels].sum())
+        for j in range(centers.shape[0]):
+            members = samples[labels == j]
+            if members.shape[0] > 0:
+                centers[j] = members.mean(axis=0)
+        if prev_inertia < np.inf and prev_inertia > 0:
+            if abs(prev_inertia - inertia) / prev_inertia < tol:
+                break
+        prev_inertia = inertia
+    return centers, labels
+
+
+def assign_reference(samples, centers):
+    return np.argmin(((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
+
+
+def fraction_covered_reference(anchors, queries, k):
+    tree = cKDTree(anchors)
+    radii = tree.query(anchors, k=k + 1)[0][:, -1]
+    rmax = float(radii.max())
+    covered = 0
+    for x in queries:
+        idx = tree.query_ball_point(x, rmax)
+        if idx:
+            d = np.sqrt(((anchors[idx] - x) ** 2).sum(axis=1))
+            if np.any(d <= radii[idx]):
+                covered += 1
+    return covered / queries.shape[0]
+
+
+def _gaussian_d64():
+    rng = np.random.default_rng(41)
+    return rng.normal(size=(300, 64)), 0.8 * rng.normal(size=(300, 64)) + 0.3
+
+
+def _modes_d4():
+    rng = np.random.default_rng(42)
+    layout = 6.0 * rng.normal(size=(10, 4))
+    p = layout[rng.integers(10, size=1500)] + rng.normal(size=(1500, 4))
+    q = layout[rng.integers(7, size=1500)] + 0.7 * rng.normal(size=(1500, 4))
+    return p, q
+
+
+def _lattice_ties():
+    # edge anchors of a 6x6 lattice have 3rd-neighbour radius exactly 1, and
+    # the queries one step outside the edge sit exactly on that radius
+    grid = np.arange(-2.0, 8.0)
+    queries = np.array([(a, b) for a in grid for b in grid])
+    anchors = queries[(queries >= 0).all(axis=1) & (queries <= 5).all(axis=1)]
+    return anchors, queries
+
+
+def _duplicated_rows():
+    # every row 5 times, so the 3rd-neighbour radius is 0
+    rng = np.random.default_rng(43)
+    p = np.repeat(rng.normal(size=(40, 3)), 5, axis=0)
+    q = np.vstack([p[::7], rng.normal(size=(60, 3))])
+    return p, q
+
+
+def _shared_rows():
+    rng = np.random.default_rng(44)
+    p = rng.normal(size=(200, 8))
+    q = np.vstack([p[:80], rng.normal(size=(120, 8)) + 0.5])
+    return p, q
+
+
+def _identical():
+    return np.full((50, 3), 0.1), np.full((40, 3), 0.1)
+
+
+def _one_dimensional():
+    rng = np.random.default_rng(45)
+    return rng.normal(size=(300, 1)), rng.normal(size=(300, 1)) * 2.0 + 0.5
+
+
+EQUIVALENCE_FIXTURES = {
+    "gaussian-d64": _gaussian_d64,
+    "modes-d4": _modes_d4,
+    "lattice-ties": _lattice_ties,
+    "duplicated-rows": _duplicated_rows,
+    "shared-rows": _shared_rows,
+    "identical": _identical,
+    "d1": _one_dimensional,
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIXTURES))
+class TestDistanceKernelEquivalence:
+    def test_lloyd_and_assign_match_difference_form(self, name):
+        p, q = EQUIVALENCE_FIXTURES[name]()
+        pooled = np.vstack([p, q])
+        for k in (2, 7):
+            init = estimation._kmeans_pp_init(pooled, k, np.random.default_rng(3))
+            centers, labels = estimation._lloyd(pooled, init.copy())
+            want_centers, want_labels = lloyd_reference(pooled, init.copy())
+            assert np.array_equal(labels, want_labels)
+            if pooled.shape[1] > 1:
+                assert np.array_equal(centers, want_centers)
+            else:
+                # at d = 1 NumPy's mean sums pairwise, bincount in sample order
+                tol = pooled.shape[0] * np.finfo(float).eps * np.abs(pooled).max()
+                np.testing.assert_allclose(centers, want_centers, rtol=0, atol=tol)
+            model = estimation.QuantizationModel(centers=centers, k=k, seed=3)
+            for x in (p, q):
+                assert np.array_equal(model.assign(x), assign_reference(x, centers))
+
+    def test_coverage_matches_ball_query(self, name):
+        p, q = EQUIVALENCE_FIXTURES[name]()
+        for anchors, queries in ((p, q), (q, p), (p, p)):
+            for k in (1, 3):
+                got = estimation._fraction_covered(anchors, queries, k)
+                assert got == fraction_covered_reference(anchors, queries, k)
+
+    def test_coverage_with_ragged_blocks(self, name, monkeypatch):
+        p, q = EQUIVALENCE_FIXTURES[name]()
+        want = fraction_covered_reference(p, q, 3)
+        monkeypatch.setattr(estimation, "BLOCK_ENTRIES", 997)
+        assert estimation._fraction_covered(p, q, 3) == want
 
 
 class TestPipeline:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divfrontier
 from divfrontier import (
     EXCLUSIVE,
     Alpha,
@@ -333,3 +338,30 @@ class TestCli:
         p, q = hist_specs
         out = tmp_path / "f.csv"
         assert main(["frontier", "--p", p, "--q", q, "--output", str(out)]) == 1
+
+
+MALFORMED_INPUTS = {
+    "missing-samples-csv": ("pipeline", "--p", "{d}/missing.csv", "--q", "{d}/ok.csv", "--output", "{d}/run"),
+    "scalar-probs": ("prd", "--p", "{d}/scalar.json", "--q", "{d}/h.json", "--output", "{d}/prd.csv"),
+    "ragged-cov": ("endpoints", "--p", "{d}/ragged.json", "--q", "{d}/ragged.json", "--output", "{d}/e.csv"),
+    "config-list": (
+        "pipeline", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--config", "{d}/list.json", "--output", "{d}/run",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_without_traceback(tmp_path, case):
+    write(tmp_path / "ok.csv", "0.0,1.0\n1.0,0.5\n2.0,2.0\n0.5,1.5\n3.0,0.0\n")
+    write(tmp_path / "h.json", '{"type": "histogram", "probs": [0.5, 0.5]}')
+    write(tmp_path / "scalar.json", '{"type": "histogram", "probs": 5}')
+    write(tmp_path / "ragged.json", '{"type": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0]]}')
+    write(tmp_path / "list.json", "[1, 2]")
+    argv = [a.format(d=tmp_path) for a in MALFORMED_INPUTS[case]]
+    env = dict(os.environ, PYTHONPATH=str(Path(divfrontier.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "divfrontier.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert str(tmp_path) in proc.stderr
