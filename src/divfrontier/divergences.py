@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .distributions import (
     Alpha,
@@ -42,6 +41,20 @@ class ExpFamilySpec:
     grad_log_partition: Callable[[np.ndarray], np.ndarray]
     inv_grad_log_partition: Callable[[np.ndarray], np.ndarray]
     param_dim: int
+
+
+def logsumexp(x, axis=None):
+    """log(sum(exp(x))) over ``axis`` (all entries if None).
+
+    Shifted by the maximum so that terms near +-700 neither overflow nor
+    underflow; a row whose terms are all -inf gives -inf.
+    """
+    x = np.asarray(x, dtype=float)
+    top = np.max(x, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)) + top
+    return np.squeeze(out, axis=axis)[()]
 
 
 def _clip_nonneg(value: float) -> float:

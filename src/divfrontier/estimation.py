@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .discrete_frontier import (
     EXCLUSIVE,
@@ -25,6 +24,7 @@ from .expfam_frontier import frontier_kl, kl_endpoints
 
 SMOOTHING_EPS = 1e-10  # additive smoothing for quantized histograms
 BLOCK_ENTRIES = 250_000  # cap on a query x anchor distance block (~2 MB of float64)
+KD_TREE_MAX_DIM = 12  # kNN radii from a k-d tree up to this dimension, distance blocks above
 
 
 def as_sample_matrix(samples) -> np.ndarray:
@@ -193,22 +193,55 @@ def knn_support_metrics(samples_p, samples_q, k: int = 3) -> tuple[float, float]
     return precision, recall
 
 
+def _knn_radii(anchors: np.ndarray, k: int) -> np.ndarray:
+    """Distance from each anchor to its k-th nearest neighbour among the others.
+
+    Each anchor is its own nearest neighbour, so this is the (k+1)-th
+    smallest distance. Above KD_TREE_MAX_DIM the k+1 smallest entries of
+    each blocked _sqdist row are measured again by the explicit difference
+    form; a row with more than k+1 entries within the tie band of its
+    (k+1)-th measures every entry in the band instead.
+    """
+    n, d = anchors.shape
+    if d <= KD_TREE_MAX_DIM:
+        from scipy.spatial import cKDTree
+
+        return cKDTree(anchors).query(anchors, k=k + 1)[0][:, -1]
+    band = _tie_band(anchors, anchors)
+    rows = max(1, BLOCK_ENTRIES // n)
+    radii = np.empty(n)
+    for start in range(0, n, rows):
+        block = anchors[start:start + rows]
+        d2 = _sqdist(block, anchors)
+        nearest = np.argpartition(d2, k, axis=1)[:, :k + 1]
+        diff = anchors[nearest] - block[:, None, :]
+        radii[start:start + rows] = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
+        kth = d2[np.arange(block.shape[0]), nearest[:, k]]
+        crowded = np.count_nonzero(d2 <= (kth + band)[:, None], axis=1) > k + 1
+        for i in np.flatnonzero(crowded):
+            near = anchors[d2[i] <= kth[i] + band]
+            dist = np.sqrt(((near - block[i]) ** 2).sum(axis=1))
+            radii[start + i] = np.partition(dist, k)[k]
+    return radii
+
+
 def _fraction_covered(anchors: np.ndarray, queries: np.ndarray, k: int) -> float:
-    # k+1 because each anchor is its own nearest neighbour
-    radii = cKDTree(anchors).query(anchors, k=k + 1)[0][:, -1]
-    r2 = radii**2
+    radii = _knn_radii(anchors, k)
+    # min_a |x - a|^2 - r_a^2 = |x|^2 + min_a(-2 x.a + |a|^2 - r_a^2): one product
+    # of the queries, padded with ones, against the anchors lifted by that offset
+    lifted = np.hstack([-2.0 * anchors, ((anchors * anchors).sum(axis=1) - radii**2)[:, None]]).T
+    padded = np.hstack([queries, np.ones((queries.shape[0], 1))])
+    sq_norms = (queries * queries).sum(axis=1)
     band = _tie_band(queries, anchors)
     rows = max(1, BLOCK_ENTRIES // anchors.shape[0])
     covered = 0
     for start in range(0, queries.shape[0], rows):
-        block = queries[start:start + rows]
-        d2 = _sqdist(block, anchors)
-        d2 -= r2
-        margin = d2.min(axis=1)
+        stop = start + rows
+        margin = (padded[start:stop] @ lifted).min(axis=1) + sq_norms[start:stop]
         # near-ties are settled by the explicit difference form
         unsure = np.abs(margin) <= band
         covered += int(np.count_nonzero(margin[~unsure] <= 0))
-        for x in block[unsure]:
+        for x in queries[start:stop][unsure]:
             covered += int(np.any(np.sqrt(((anchors - x) ** 2).sum(axis=1)) <= radii))
     return covered / queries.shape[0]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +77,25 @@ def distribution_to_json(dist: Histogram | GaussianParams) -> dict:
 
 
 def load_samples_csv(path) -> np.ndarray:
-    """Headerless CSV of embedding vectors, one per row."""
+    """Headerless CSV of embedding vectors, one per row.
+
+    NumPy's parser reads a well-formed file. A file it rejects or finds
+    empty is read again row by row, which accepts what Python's ``csv`` and
+    ``float`` accept and otherwise raises a ParseError with the line.
+    """
     path = Path(path)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # loadtxt warns on a file with no rows
+            samples = np.loadtxt(path, delimiter=",", ndmin=2, comments=None, encoding="utf-8")
+        if samples.shape[0] > 0:
+            return samples
+    except (OSError, ValueError):
+        pass  # the row loop reads it again and names the offending line
+    return _read_samples_rows(path)
+
+
+def _read_samples_rows(path: Path) -> np.ndarray:
     rows: list[list[float]] = []
     width = None
     try:
@@ -149,18 +167,33 @@ def load_pipeline_config(path) -> PipelineConfig:
     if not isinstance(raw, dict):
         raise ParseError("pipeline config must be a JSON object", path=str(path))
     defaults = PipelineConfig()
+    alphas = raw.get("alphas", [])
+    if not isinstance(alphas, list) or not all(_is_number(a) or isinstance(a, str) for a in alphas):
+        raise ParseError("config field 'alphas' must be a list of numbers or strings", path=str(path))
+
+    def field(key: str, kind: type):
+        value = raw.get(key, getattr(defaults, key))
+        # JSON has one number type, so an integral float such as 1e3 is an integer
+        if not _is_number(value) or (kind is int and not float(value).is_integer()):
+            noun = "an integer" if kind is int else "a number"
+            raise ParseError(f"config field {key!r} must be {noun}, got {value!r}", path=str(path))
+        return kind(value)
+
     try:
-        alphas = tuple(Alpha.parse(a) for a in raw.get("alphas", [])) or defaults.alphas
         return PipelineConfig(
-            k_clusters=int(raw.get("k_clusters", defaults.k_clusters)),
-            knn_k=int(raw.get("knn_k", defaults.knn_k)),
-            ridge=float(raw.get("ridge", defaults.ridge)),
-            alphas=alphas,
-            grid_size=int(raw.get("grid_size", defaults.grid_size)),
-            seed=int(raw.get("seed", defaults.seed)),
+            k_clusters=field("k_clusters", int),
+            knn_k=field("knn_k", int),
+            ridge=field("ridge", float),
+            alphas=tuple(Alpha.parse(a) for a in alphas) or defaults.alphas,
+            grid_size=field("grid_size", int),
+            seed=field("seed", int),
         )
-    except (TypeError, ValueError) as exc:
+    except OverflowError as exc:
         raise ParseError(f"bad config value: {exc}", path=str(path)) from exc
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def write_json(obj: dict, path) -> None:

@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import logsumexp
 
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, pareto_filter
 from .distributions import Alpha, GaussianParams, Histogram, check_same_length
+from .divergences import logsumexp
 from .errors import ParameterError
 
 GRID_SMOOTHING = 1e-12  # applied to grid points only, so boundary bins stay finite
@@ -28,7 +27,10 @@ GRID_SMOOTHING = 1e-12  # applied to grid points only, so boundary bins stay fin
 def _max_workers() -> int:
     cap = os.environ.get("FRONTIER_THREADS")
     if cap:
-        return max(1, int(cap))
+        try:
+            return max(1, int(cap))
+        except ValueError:
+            raise ParameterError(f"FRONTIER_THREADS must be an integer, got {cap!r}") from None
     return os.cpu_count() or 1
 
 
@@ -205,6 +207,8 @@ def _log_density_1d(x, mu, var):
 
 
 def _quadrature_1d(P: GaussianParams, Q: GaussianParams, alpha: Alpha):
+    from scipy.integrate import quad
+
     mu_p, var_p = float(P.mean[0]), float(P.cov[0, 0])
     mu_q, var_q = float(Q.mean[0]), float(Q.cov[0, 0])
     span = 12.0 * max(np.sqrt(var_p), np.sqrt(var_q))

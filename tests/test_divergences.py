@@ -20,6 +20,7 @@ from divfrontier import (
     renyi_discrete,
     renyi_gaussian,
 )
+from divfrontier.divergences import logsumexp
 from tests.conftest import random_gaussian, random_histogram
 
 INF = float("inf")
@@ -264,3 +265,38 @@ class TestFunkMetric:
             p = random_histogram(rng, 5)
             q = random_histogram(rng, 5)
             assert funk_metric(p, q) == renyi_discrete(p, q, Alpha.infinity())
+
+
+class TestLogSumExp:
+    """The NumPy helper against scipy's logsumexp, which it replaced."""
+
+    CASES = {
+        "large": [[1000.0, 999.0, -5.0], [709.0, 710.0, 700.0]],
+        "tiny": [[-1000.0, -1001.0, -1e4], [1e-300, -1e-300, 5e-324]],
+        "some-neg-inf": [[-INF, 0.0, -3.0], [-INF, -INF, -745.0]],
+        "all-neg-inf": [[-INF, -INF, -INF], [-INF, -INF, -INF]],
+        "alpha-1e4": [[1e4 * np.log(0.3) - 9999 * np.log(0.7), 1e4 * np.log(0.7) - 9999 * np.log(0.3), -INF]] * 2,
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_scipy(self, name):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        x = np.array(self.CASES[name])
+        for axis in (None, 0, 1):
+            got = logsumexp(x, axis=axis)
+            want = scipy_logsumexp(x, axis=axis)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+            assert np.shape(got) == np.shape(want)
+
+    def test_all_neg_inf_row_without_warning(self):
+        with np.errstate(all="raise"):
+            assert logsumexp([-INF, -INF]) == -INF
+            np.testing.assert_array_equal(logsumexp([[-INF, -INF], [0.0, 0.0]], axis=1), [-INF, np.log(2)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=30))
+    def test_random_terms(self, terms):
+        from scipy.special import logsumexp as scipy_logsumexp
+
+        assert logsumexp(terms) == pytest.approx(float(scipy_logsumexp(terms)), rel=1e-14, abs=1e-14)

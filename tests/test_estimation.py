@@ -257,6 +257,18 @@ def _one_dimensional():
     return rng.normal(size=(300, 1)), rng.normal(size=(300, 1)) * 2.0 + 0.5
 
 
+def _padded(fixture, scale=1.0, shift=0.0):
+    """The fixture zero-padded to d=16, above KD_TREE_MAX_DIM, so its kNN
+    radii come from distance blocks; optionally scaled and shifted."""
+
+    def make():
+        return tuple(
+            np.hstack([x, np.zeros((x.shape[0], 16 - x.shape[1]))]) * scale + shift for x in fixture()
+        )
+
+    return make
+
+
 EQUIVALENCE_FIXTURES = {
     "gaussian-d64": _gaussian_d64,
     "modes-d4": _modes_d4,
@@ -265,6 +277,14 @@ EQUIVALENCE_FIXTURES = {
     "shared-rows": _shared_rows,
     "identical": _identical,
     "d1": _one_dimensional,
+    "lattice-ties-d16": _padded(_lattice_ties),
+    "duplicated-rows-d16": _padded(_duplicated_rows),
+    "shared-rows-d16": _padded(_shared_rows),
+    "identical-d16": _padded(_identical),
+    "d1-d16": _padded(_one_dimensional),
+    # |x|^2 ~ 1e9 puts the product form's rounding near 1e-6, against lattice
+    # steps of 1e6 and queries exactly on the radius
+    "lattice-ties-d16-scaled": _padded(_lattice_ties, scale=1e3, shift=7e3),
 }
 
 
@@ -300,6 +320,42 @@ class TestDistanceKernelEquivalence:
         want = fraction_covered_reference(p, q, 3)
         monkeypatch.setattr(estimation, "BLOCK_ENTRIES", 997)
         assert estimation._fraction_covered(p, q, 3) == want
+
+
+@pytest.mark.parametrize("name", ["gaussian-d64", "modes-d4"])
+def test_coverage_equal_on_both_radius_paths(name, monkeypatch):
+    p, q = EQUIVALENCE_FIXTURES[name]()
+    tree_radii = cKDTree(p).query(p, k=4)[0][:, -1]
+    for max_dim in (0, 1000):  # distance blocks, then the k-d tree
+        monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", max_dim)
+        # the k-d tree sums in a different order, so radii may differ in the last bit
+        np.testing.assert_allclose(estimation._knn_radii(p, 3), tree_radii, rtol=1e-15, atol=0)
+        for anchors, queries in ((p, q), (q, p)):
+            assert estimation._fraction_covered(anchors, queries, 3) == fraction_covered_reference(
+                anchors, queries, 3
+            )
+
+
+@pytest.mark.parametrize("name", ["duplicated-rows", "duplicated-rows-d16"])
+@pytest.mark.parametrize("max_dim", [0, 1000])
+def test_duplicated_rows_have_radius_zero(name, max_dim, monkeypatch):
+    p, _ = EQUIVALENCE_FIXTURES[name]()
+    monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", max_dim)
+    for k in (1, 3, 4):  # every row has 4 copies besides itself
+        assert np.all(estimation._knn_radii(p, k) == 0.0)
+    assert np.all(estimation._knn_radii(p, 5) > 0.0)
+
+
+def test_block_radii_settle_near_ties_by_difference_form(monkeypatch):
+    # clusters whose internal distances (~1e-6) are far below the product
+    # form's rounding at |x| ~ 4e4: every cluster member sits in the tie band
+    rng = np.random.default_rng(46)
+    centers = 1e4 + rng.normal(size=(20, 16))
+    anchors = np.repeat(centers, 10, axis=0) + 1e-6 * rng.normal(size=(200, 16))
+    monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", 0)
+    for k in (1, 3, 8):
+        want = cKDTree(anchors).query(anchors, k=k + 1)[0][:, -1]
+        np.testing.assert_allclose(estimation._knn_radii(anchors, k), want, rtol=1e-12, atol=0)
 
 
 class TestPipeline:

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divfrontier
+from divfrontier import io as io_module
 from divfrontier import (
     EXCLUSIVE,
     Alpha,
@@ -88,6 +92,64 @@ class TestSamplesCsv:
         path = write(tmp_path / "s.csv", "")
         with pytest.raises(ParseError):
             load_samples_csv(path)
+
+    def test_full_precision_file_bit_equal_to_row_loop(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(200, 16)) * np.exp(rng.uniform(-30, 30, size=(200, 16)))
+        x[0, :4] = [5e-324, -0.0, 1e308, -2.2250738585072014e-308]
+        path = tmp_path / "s.csv"
+        np.savetxt(path, x, delimiter=",", fmt="%.17g")
+        want = io_module._read_samples_rows(path)
+        assert want.view(np.int64).tolist() == x.view(np.int64).tolist()
+
+        def no_fallback(path):
+            raise AssertionError("the row loop should not run on a well-formed file")
+
+        monkeypatch.setattr(io_module, "_read_samples_rows", no_fallback)
+        got = load_samples_csv(path)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.parametrize(
+        "text, want",
+        [('"1",2\n3,"4"\n', [[1.0, 2.0], [3.0, 4.0]]), ("1_0,2\n", [[10.0, 2.0]])],
+        ids=["quoted", "underscore"],
+    )
+    def test_row_loop_fallback_accepts(self, tmp_path, text, want):
+        np.testing.assert_array_equal(load_samples_csv(write(tmp_path / "s.csv", text)), want)
+
+    @pytest.mark.parametrize("text", ["", "\n\n\r\n"], ids=["empty", "blank-lines"])
+    def test_no_rows(self, tmp_path, text):
+        with pytest.raises(ParseError, match="no samples found"):
+            load_samples_csv(write(tmp_path / "s.csv", text))
+
+    @pytest.mark.parametrize("bad_line", ["   ", "\t", "# comment", "#1,2"])
+    def test_whitespace_and_comment_lines_report_line(self, tmp_path, bad_line):
+        path = write(tmp_path / "s.csv", f"1.0,2.0\n\n{bad_line}\n3.0,4.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_samples_csv(path)
+        assert exc.value.line == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789,,.-+e_ \t\n\r#\"infaNI", max_size=24))
+    def test_same_result_as_row_loop(self, text):
+        # whatever the file, the loader returns what the row loop returns, or
+        # raises the ParseError it raises
+        def outcome(load, path):
+            try:
+                return load(path)
+            except ParseError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.csv"
+            path.write_text(text, encoding="utf-8", newline="")
+            got = outcome(load_samples_csv, path)
+            want = outcome(io_module._read_samples_rows, path)
+        if isinstance(want, str):
+            assert isinstance(got, str) and got == want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 class TestCurveCsv:
@@ -340,6 +402,17 @@ class TestCli:
         assert main(["frontier", "--p", p, "--q", q, "--output", str(out)]) == 1
 
 
+# pipeline configs whose fields have the wrong JSON type
+BAD_CONFIGS = {
+    "grid-size-fraction": '{"grid_size": 3.7}',
+    "seed-string": '{"seed": "7"}',
+    "k-clusters-bool": '{"k_clusters": true}',
+    "knn-k-bool": '{"knn_k": true}',
+    "grid-size-bool": '{"grid_size": true}',
+    "seed-bool": '{"seed": true}',
+    "alphas-string": '{"alphas": "inf"}',
+}
+
 MALFORMED_INPUTS = {
     "missing-samples-csv": ("pipeline", "--p", "{d}/missing.csv", "--q", "{d}/ok.csv", "--output", "{d}/run"),
     "scalar-probs": ("prd", "--p", "{d}/scalar.json", "--q", "{d}/h.json", "--output", "{d}/prd.csv"),
@@ -347,7 +420,19 @@ MALFORMED_INPUTS = {
     "config-list": (
         "pipeline", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--config", "{d}/list.json", "--output", "{d}/run",
     ),
+    **{
+        f"config-{name}": (
+            "pipeline", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--config", f"{{d}}/{name}.json", "--output", "{d}/run",
+        )
+        for name in BAD_CONFIGS
+    },
 }
+
+
+def run_python(*args, **env):
+    """A fresh interpreter that imports this checkout's divfrontier."""
+    env = dict(os.environ, PYTHONPATH=str(Path(divfrontier.__file__).parents[1]), **env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
@@ -357,11 +442,36 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     write(tmp_path / "scalar.json", '{"type": "histogram", "probs": 5}')
     write(tmp_path / "ragged.json", '{"type": "gaussian", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0]]}')
     write(tmp_path / "list.json", "[1, 2]")
-    argv = [a.format(d=tmp_path) for a in MALFORMED_INPUTS[case]]
-    env = dict(os.environ, PYTHONPATH=str(Path(divfrontier.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "divfrontier.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    for name, text in BAD_CONFIGS.items():
+        write(tmp_path / f"{name}.json", text)
+    proc = run_python("-m", "divfrontier.cli", *(a.format(d=tmp_path) for a in MALFORMED_INPUTS[case]))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert str(tmp_path) in proc.stderr
+
+
+def test_integral_float_config_fields_accepted(tmp_path):
+    path = write(tmp_path / "c.json", '{"grid_size": 1e2, "seed": 7.0, "ridge": 0, "alphas": [2, "inf"]}')
+    cfg = load_pipeline_config(path)
+    assert (cfg.grid_size, cfg.seed, cfg.ridge) == (100, 7, 0.0)
+    assert type(cfg.grid_size) is int and type(cfg.seed) is int and type(cfg.ridge) is float
+    assert [str(a) for a in cfg.alphas] == ["2.0", "inf"]
+
+
+def test_bad_thread_count_exits_1_without_traceback(hist_specs, tmp_path):
+    p, q = hist_specs
+    out = tmp_path / "verdict.json"
+    proc = run_python(
+        "-m", "divfrontier.cli", "oracle-check", "--p", p, "--q", q, "--alpha", "2", "--m", "10", "--output", str(out),
+        FRONTIER_THREADS="abc",
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "FRONTIER_THREADS" in proc.stderr
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, divfrontier; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
