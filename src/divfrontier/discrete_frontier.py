@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .distributions import Alpha, Histogram, check_same_length
-from .divergences import renyi_discrete
+from .divergences import renyi_rows
 from .errors import ParameterError
 
 EXCLUSIVE = "exclusive"
@@ -165,25 +165,23 @@ def infinity_geodesic_point(p: Histogram, q: Histogram, lam: float) -> Histogram
     return Histogram(w)
 
 
-def pareto_filter(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
+def pareto_filter(points: Sequence[tuple[float, float]] | np.ndarray) -> list[tuple[float, float]]:
     """Remove points strictly dominated in both coordinates (minimization).
 
     Output is sorted ascending by first coordinate (ties by second) and
     deduplicated on exact ties of both coordinates.
     """
-    uniq = sorted(set((float(x), float(y)) for x, y in points))
-    kept: list[tuple[float, float]] = []
-    best_y_before = np.inf  # min y over points with strictly smaller x
-    i = 0
-    while i < len(uniq):
-        j = i
-        while j < len(uniq) and uniq[j][0] == uniq[i][0]:
-            j += 1
-        group = uniq[i:j]
-        kept.extend(pt for pt in group if not pt[1] > best_y_before)
-        best_y_before = min(best_y_before, min(pt[1] for pt in group))
-        i = j
-    return kept
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    if xy.shape[0] == 0:
+        return []
+    s = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+    s = s[np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])]
+    # keep a point unless its y is above the min y over strictly smaller x,
+    # which is the running min of y read at the first point of its x run
+    best = np.minimum.accumulate(np.concatenate([[np.inf], s[:-1, 1]]))
+    first = np.concatenate([[True], s[1:, 0] != s[:-1, 0]])
+    run_start = np.maximum.accumulate(np.where(first, np.arange(s.shape[0]), 0))
+    return list(map(tuple, s[~(s[:, 1] > best[run_start])].tolist()))
 
 
 def _pareto_filter_triples(
@@ -251,15 +249,12 @@ def frontier(
             gammas = [exclusive_curve_point(p, q, alpha, lam) for lam in lams]
         else:
             gammas = [inclusive_curve_point(p, q, alpha, lam) for lam in lams]
-    triples = []
-    for lam, g in zip(lams, gammas):
-        if side == EXCLUSIVE:
-            div_p = renyi_discrete(g, p, alpha)
-            div_q = renyi_discrete(g, q, alpha)
-        else:
-            div_p = renyi_discrete(p, g, alpha)
-            div_q = renyi_discrete(q, g, alpha)
-        triples.append((float(lam), div_p, div_q))
+    G = np.stack([g.probs for g in gammas])
+    if side == EXCLUSIVE:
+        div_p, div_q = renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)
+    else:
+        div_p, div_q = renyi_rows(p.probs, G, alpha), renyi_rows(q.probs, G, alpha)
+    triples = list(zip(lams.tolist(), div_p.tolist(), div_q.tolist()))
     return FrontierCurve(_pareto_filter_triples(triples), side, alpha)
 
 

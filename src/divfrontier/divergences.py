@@ -16,12 +16,12 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (
+    EQUALITY_TOL,
     Alpha,
     GaussianParams,
     Histogram,
     check_same_dim,
     check_same_length,
-    histograms_equal,
 )
 from .errors import DivergenceUndefinedError, ParameterError
 
@@ -62,47 +62,47 @@ def _clip_nonneg(value: float) -> float:
     return 0.0 if -1e-12 < value < 0.0 else value
 
 
-def kl_discrete(p: Histogram, q: Histogram) -> float:
-    """KL divergence sum p_i log(p_i / q_i); +inf on support violation."""
-    check_same_length(p, q)
-    if histograms_equal(p, q):
-        return 0.0
-    pv, qv = p.probs, q.probs
-    mask = pv > 0
-    if np.any(qv[mask] == 0):
-        return INF
-    return _clip_nonneg(float(np.sum(pv[mask] * (np.log(pv[mask]) - np.log(qv[mask])))))
+def renyi_rows(x: np.ndarray, y: np.ndarray, alpha: Alpha) -> np.ndarray:
+    """D_alpha(x_i || y_i) for each row i of the broadcast arrays x and y.
+
+    Rows are histograms. The value is 0 for rows within EQUALITY_TOL total
+    variation and +inf where a zero of y_i meets x_i's support at order
+    >= 1, or where the supports are disjoint. Finite orders use a
+    max-shifted log-sum-exp so that very large alpha (up to ~1e4) stays in
+    range; alpha = 0 is -log of y_i's mass on x_i's support.
+    """
+    x, y = np.atleast_2d(x, y)
+    xsupp = x > 0
+    # terms off x's support are masked out. On it, a zero of y gives a +inf
+    # term at orders >= 1 (a support violation) and a -inf one below 1, where
+    # a row without shared support sums to -inf and 1/(a - 1) < 0 makes it +inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_x, log_y = np.log(x), np.log(y)
+        if alpha.is_zero:
+            out = -np.log(np.where(xsupp, y, 0.0).sum(axis=1))
+        elif alpha.is_one:
+            out = np.where(xsupp, x * (log_x - log_y), 0.0).sum(axis=1)
+        elif alpha.is_infinity:
+            out = np.where(xsupp, log_x - log_y, -INF).max(axis=1)
+        else:
+            a = alpha.value
+            terms = np.where(xsupp, a * log_x + (1.0 - a) * log_y, -INF)
+            out = logsumexp(terms, axis=1) / (a - 1.0)
+    # divergences are nonnegative; absorb float rounding of exact zeros
+    out[(out > -1e-12) & (out < 0.0)] = 0.0
+    out[0.5 * np.abs(x - y).sum(axis=1) <= EQUALITY_TOL] = 0.0
+    return out
 
 
 def renyi_discrete(p: Histogram, q: Histogram, alpha: Alpha) -> float:
-    """Renyi divergence D_alpha(p || q) for any order tag.
-
-    Finite orders use a max-shifted log-sum-exp so that very large alpha
-    (up to ~1e4) stays in range.
-    """
+    """Renyi divergence D_alpha(p || q) for any order tag."""
     check_same_length(p, q)
-    if histograms_equal(p, q):
-        return 0.0
-    pv, qv = p.probs, q.probs
-    if alpha.is_one:
-        return kl_discrete(p, q)
-    if alpha.is_zero:
-        mass = float(qv[pv > 0].sum())
-        return INF if mass <= 0 else _clip_nonneg(-float(np.log(mass)))
-    if alpha.is_infinity:
-        psupp = pv > 0
-        if np.any(qv[psupp] == 0):
-            return INF
-        return _clip_nonneg(float(np.max(np.log(pv[psupp]) - np.log(qv[psupp]))))
-    a = alpha.value
-    psupp = pv > 0
-    if a > 1 and np.any(qv[psupp] == 0):
-        return INF
-    both = psupp & (qv > 0)
-    if not np.any(both):
-        return INF  # disjoint supports
-    terms = a * np.log(pv[both]) + (1.0 - a) * np.log(qv[both])
-    return _clip_nonneg(float(logsumexp(terms)) / (a - 1.0))
+    return float(renyi_rows(p.probs, q.probs, alpha)[0])
+
+
+def kl_discrete(p: Histogram, q: Histogram) -> float:
+    """KL divergence sum p_i log(p_i / q_i); +inf on support violation."""
+    return renyi_discrete(p, q, Alpha.one())
 
 
 def funk_metric(p: Histogram, q: Histogram) -> float:

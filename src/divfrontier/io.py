@@ -18,7 +18,7 @@ import numpy as np
 
 from .discrete_frontier import FrontierCurve, PRDCurve
 from .distributions import GaussianParams, Histogram
-from .errors import ParseError
+from .errors import ParameterError, ParseError
 from .estimation import PipelineConfig
 from .distributions import Alpha
 
@@ -188,7 +188,7 @@ def load_pipeline_config(path) -> PipelineConfig:
             grid_size=field("grid_size", int),
             seed=field("seed", int),
         )
-    except OverflowError as exc:
+    except (OverflowError, ParameterError) as exc:  # the latter from Alpha.parse
         raise ParseError(f"bad config value: {exc}", path=str(path)) from exc
 
 

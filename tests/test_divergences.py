@@ -20,7 +20,7 @@ from divfrontier import (
     renyi_discrete,
     renyi_gaussian,
 )
-from divfrontier.divergences import logsumexp
+from divfrontier.divergences import logsumexp, renyi_rows
 from tests.conftest import random_gaussian, random_histogram
 
 INF = float("inf")
@@ -300,3 +300,154 @@ class TestLogSumExp:
         from scipy.special import logsumexp as scipy_logsumexp
 
         assert logsumexp(terms) == pytest.approx(float(scipy_logsumexp(terms)), rel=1e-14, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# renyi_rows against the implementations it replaced
+
+def _clip_nonneg(value):
+    return 0.0 if -1e-12 < value < 0.0 else value
+
+
+def _scalar_kl(pv, qv):
+    """kl_discrete before renyi_rows, on normalized probability vectors."""
+    if 0.5 * np.abs(pv - qv).sum() <= 1e-12:
+        return 0.0
+    mask = pv > 0
+    if np.any(qv[mask] == 0):
+        return INF
+    return _clip_nonneg(float(np.sum(pv[mask] * (np.log(pv[mask]) - np.log(qv[mask])))))
+
+
+def _scalar_renyi(pv, qv, alpha):
+    """renyi_discrete before renyi_rows."""
+    if 0.5 * np.abs(pv - qv).sum() <= 1e-12:
+        return 0.0
+    if alpha.is_one:
+        return _scalar_kl(pv, qv)
+    if alpha.is_zero:
+        mass = float(qv[pv > 0].sum())
+        return INF if mass <= 0 else _clip_nonneg(-float(np.log(mass)))
+    psupp = pv > 0
+    if alpha.is_infinity:
+        if np.any(qv[psupp] == 0):
+            return INF
+        return _clip_nonneg(float(np.max(np.log(pv[psupp]) - np.log(qv[psupp]))))
+    a = alpha.value
+    if a > 1 and np.any(qv[psupp] == 0):
+        return INF
+    both = psupp & (qv > 0)
+    if not np.any(both):
+        return INF
+    terms = a * np.log(pv[both]) + (1.0 - a) * np.log(qv[both])
+    return _clip_nonneg(float(logsumexp(terms)) / (a - 1.0))
+
+
+def _oracle_rows(R, v, alpha):
+    """The oracle's former D_alpha(r || v) over full-support rows r of R."""
+    log_r, log_v = np.log(R), np.log(v)[None, :]
+    if alpha.is_one:
+        return np.sum(R * (log_r - log_v), axis=1)
+    if alpha.is_infinity:
+        return np.max(log_r - log_v, axis=1)
+    if alpha.is_zero:
+        return np.zeros(R.shape[0])
+    a = alpha.value
+    return logsumexp(a * log_r + (1.0 - a) * log_v, axis=1) / (a - 1.0)
+
+
+def _oracle_rows_swapped(R, v, alpha):
+    """The oracle's former D_alpha(v || r) over full-support rows r of R."""
+    log_r, log_v = np.log(R), np.log(v)[None, :]
+    if alpha.is_one:
+        return np.sum(v[None, :] * (log_v - log_r), axis=1)
+    if alpha.is_infinity:
+        return np.max(log_v - log_r, axis=1)
+    if alpha.is_zero:
+        return np.zeros(R.shape[0])
+    a = alpha.value
+    return logsumexp(a * log_v + (1.0 - a) * log_r, axis=1) / (a - 1.0)
+
+
+ROW_ALPHAS = [Alpha.parse(a) for a in ("0", "1e-3", "0.5", "1", "2", "1e4", "inf")]
+
+
+def _row_fixtures(n):
+    """(p, q) histogram rows of length n: random, masses near 1e-300, zero
+    bins in p, in q and in both, disjoint supports, and pairs equal within
+    1e-12 total variation."""
+    rng = np.random.default_rng(n)
+    pairs = [(rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))) for _ in range(4)]
+    p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+    tiny_p, tiny_q = p.copy(), q.copy()
+    tiny_p[0], tiny_q[-1] = 1e-300, 1e-300
+    pairs += [(tiny_p, q), (p, tiny_q), (tiny_p, tiny_q)]
+    zero_p, zero_q = p.copy(), q.copy()
+    zero_p[: max(1, n // 4)] = 0.0
+    zero_q[-max(1, n // 4):] = 0.0
+    pairs += [(zero_p, q), (p, zero_q), (zero_p, zero_q)]
+    half = n // 2
+    disjoint_p = np.concatenate([rng.uniform(0.1, 1, half), np.zeros(n - half)])
+    disjoint_q = np.concatenate([np.zeros(half), rng.uniform(0.1, 1, n - half)])
+    pairs += [(disjoint_p, disjoint_q)]
+    near = p.copy()
+    near[0] += 4e-13
+    near[1] -= 4e-13
+    pairs += [(p, near), (p, p), (zero_p, zero_p)]
+    P = np.array([Histogram(a).probs for a, _ in pairs])
+    Q = np.array([Histogram(b).probs for _, b in pairs])
+    return P, Q
+
+
+def _assert_same(got, want):
+    want = np.asarray(want, dtype=float)
+    assert np.array_equal(np.isinf(got), np.isinf(want)), (got, want)
+    finite = ~np.isinf(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * np.abs(want[finite])), (got, want)
+
+
+class TestRenyiRows:
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("alpha", ROW_ALPHAS, ids=str)
+    def test_matches_the_scalar_bodies_in_both_orders(self, n, alpha):
+        P, Q = _row_fixtures(n)
+        for X, Y in ((P, Q), (Q, P)):
+            got = renyi_rows(X, Y, alpha)
+            _assert_same(got, [_scalar_renyi(x, y, alpha) for x, y in zip(X, Y)])
+            if alpha.is_one:
+                _assert_same(got, [_scalar_kl(x, y) for x, y in zip(X, Y)])
+            equal = 0.5 * np.abs(X - Y).sum(axis=1) <= 1e-12
+            assert equal.sum() == 3 and np.all(got[equal] == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("alpha", ROW_ALPHAS, ids=str)
+    def test_one_row_broadcasts_against_many(self, n, alpha):
+        P, Q = _row_fixtures(n)
+        for i in range(P.shape[0]):
+            _assert_same(renyi_rows(P, Q[i], alpha), renyi_rows(P, np.tile(Q[i], (P.shape[0], 1)), alpha))
+            _assert_same(renyi_rows(P[i], Q, alpha), [renyi_rows(P[i], q, alpha)[0] for q in Q])
+
+    @pytest.mark.parametrize("n", [2, 8, 64])
+    @pytest.mark.parametrize("alpha", ROW_ALPHAS, ids=str)
+    def test_matches_the_former_oracle_rows(self, n, alpha):
+        # the oracle's rows are smoothed grid points, so all have full support
+        rng = np.random.default_rng(100 + n)
+        R = rng.dirichlet(np.ones(n), size=50) + 1e-12
+        R = R / R.sum(axis=1, keepdims=True)
+        for v in (rng.dirichlet(np.ones(n)), np.full(n, 1.0 / n)):
+            got, swapped = renyi_rows(R, v, alpha), renyi_rows(v, R, alpha)
+            if alpha.is_zero:
+                # the former rows returned an exact 0 at order 0 where the kernel
+                # takes -log of a mass that sums to 1 within rounding
+                assert np.all(np.abs(got) <= 1e-15) and np.all(np.abs(swapped) <= 1e-15)
+                continue
+            _assert_same(got, _oracle_rows(R, v, alpha))
+            _assert_same(swapped, _oracle_rows_swapped(R, v, alpha))
+
+    def test_renyi_discrete_is_one_row(self):
+        P, Q = _row_fixtures(8)
+        for p, q in zip(P, Q):
+            hp, hq = Histogram(p), Histogram(q)
+            for alpha in ROW_ALPHAS:
+                assert renyi_discrete(hp, hq, alpha) == renyi_rows(hp.probs, hq.probs, alpha)[0]
+            assert kl_discrete(hp, hq) == renyi_discrete(hp, hq, Alpha.one())

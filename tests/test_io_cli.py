@@ -402,7 +402,7 @@ class TestCli:
         assert main(["frontier", "--p", p, "--q", q, "--output", str(out)]) == 1
 
 
-# pipeline configs whose fields have the wrong JSON type
+# pipeline configs whose fields have the wrong JSON type or an unparseable value
 BAD_CONFIGS = {
     "grid-size-fraction": '{"grid_size": 3.7}',
     "seed-string": '{"seed": "7"}',
@@ -411,6 +411,7 @@ BAD_CONFIGS = {
     "grid-size-bool": '{"grid_size": true}',
     "seed-bool": '{"seed": true}',
     "alphas-string": '{"alphas": "inf"}',
+    "alphas-unparseable": '{"alphas": ["abc"]}',
 }
 
 MALFORMED_INPUTS = {
@@ -456,18 +457,6 @@ def test_integral_float_config_fields_accepted(tmp_path):
     assert (cfg.grid_size, cfg.seed, cfg.ridge) == (100, 7, 0.0)
     assert type(cfg.grid_size) is int and type(cfg.seed) is int and type(cfg.ridge) is float
     assert [str(a) for a in cfg.alphas] == ["2.0", "inf"]
-
-
-def test_bad_thread_count_exits_1_without_traceback(hist_specs, tmp_path):
-    p, q = hist_specs
-    out = tmp_path / "verdict.json"
-    proc = run_python(
-        "-m", "divfrontier.cli", "oracle-check", "--p", p, "--q", q, "--alpha", "2", "--m", "10", "--output", str(out),
-        FRONTIER_THREADS="abc",
-    )
-    assert proc.returncode == 1, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "FRONTIER_THREADS" in proc.stderr
 
 
 def test_import_loads_no_scipy():

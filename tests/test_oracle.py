@@ -1,7 +1,11 @@
+import dataclasses
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divfrontier import (
     EXCLUSIVE,
@@ -18,9 +22,46 @@ from divfrontier import (
     hausdorff_linf,
     kl_gaussian,
     max_dominance_violation,
+    pareto_filter,
     realizable_pairs,
     renyi_gaussian,
 )
+
+INF = float("inf")
+
+
+def _loop_pareto_filter(points):
+    """pareto_filter before it worked on arrays."""
+    uniq = sorted(set((float(x), float(y)) for x, y in points))
+    kept = []
+    best_y_before = np.inf
+    i = 0
+    while i < len(uniq):
+        j = i
+        while j < len(uniq) and uniq[j][0] == uniq[i][0]:
+            j += 1
+        group = uniq[i:j]
+        kept.extend(pt for pt in group if not pt[1] > best_y_before)
+        best_y_before = min(best_y_before, min(pt[1] for pt in group))
+        i = j
+    return kept
+
+
+def _combinations_simplex(n, m):
+    """enumerate_simplex's points before the repeat/cumsum construction."""
+    points = np.empty((math.comb(m + n - 1, n - 1), n))
+    for row, bars in enumerate(combinations(range(m + n - 1), n - 1)):
+        prev = -1
+        for j, b in enumerate(bars):
+            points[row, j] = b - prev - 1
+            prev = b
+        points[row, n - 1] = m + n - 2 - prev
+    return points / m
+
+
+def _signs(points):
+    # tells -0.0 from 0.0, which == does not
+    return [tuple(math.copysign(1.0, c) for c in pt) for pt in points]
 
 
 class TestEnumerateSimplex:
@@ -46,6 +87,33 @@ class TestEnumerateSimplex:
             enumerate_simplex(1, 5)
         with pytest.raises(ParameterError):
             enumerate_simplex(3, 0)
+
+    @pytest.mark.parametrize("n,m", [(2, 7), (3, 12), (4, 9), (5, 6), (2, 1), (6, 1)])
+    def test_matches_the_combinations_construction_in_order(self, n, m):
+        grid = enumerate_simplex(n, m)
+        assert (grid.n, grid.m) == (n, m)
+        assert np.array_equal(grid.points, _combinations_simplex(n, m))
+
+
+coordinates = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, 0.5, 1e-300, INF, -INF]),
+    st.floats(allow_nan=False, allow_infinity=True),
+)
+
+
+class TestParetoFilterArrays:
+    @given(st.lists(st.tuples(coordinates, coordinates), max_size=40))
+    @settings(max_examples=300)
+    def test_equals_the_loop_filter(self, pts):
+        want = _loop_pareto_filter(pts)
+        for given_as in (pts, np.array(pts, dtype=float).reshape(-1, 2)):
+            got = pareto_filter(given_as)
+            assert got == want
+            assert _signs(got) == _signs(want)
+            assert all(type(c) is float for pt in got for c in pt)
+
+    def test_empty(self):
+        assert pareto_filter([]) == [] == pareto_filter(np.empty((0, 2)))
 
 
 class TestBruteForceFrontier:
@@ -93,6 +161,30 @@ class TestDominanceAndHausdorff:
         assert hausdorff_linf(a, a) == 0.0
 
 
+class TestDominanceAgainstTheFront:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_front_gives_the_same_violation_as_the_grid(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed % 4
+        p, q = Histogram(rng.uniform(0.15, 1.0, n)), Histogram(rng.uniform(0.15, 1.0, n))
+        grid = enumerate_simplex(n, 12)
+        for alpha in (Alpha.finite(0.5), Alpha.one(), Alpha.finite(2)):
+            for side in (EXCLUSIVE, INCLUSIVE):
+                pairs = realizable_pairs(p, q, alpha, side, grid)
+                front = np.array(brute_force_frontier(p, q, alpha, side, grid))
+                curve = frontier(p, q, alpha, side, 41)
+                # also pushed into the realizable region, so that margins are positive
+                for shift in (0.0, 0.02, 0.2):
+                    moved = dataclasses.replace(
+                        curve, points=tuple((lam, x + shift, y + shift) for lam, x, y in curve.points)
+                    )
+                    pts = [(x, y) for _, x, y in moved.points if np.isfinite(x) and np.isfinite(y)]
+                    want = max_dominance_violation(pts, pairs)
+                    assert max_dominance_violation(pts, front) == want
+                    verdict = certify_frontier(p, q, alpha, side, moved, m=12)
+                    assert verdict["max_dominance_violation"] == want
+
+
 class TestCertifyFrontier:
     def test_closed_form_passes(self):
         p = Histogram([0.5, 0.3, 0.2])
@@ -104,8 +196,6 @@ class TestCertifyFrontier:
                 assert verdict["pass"], verdict
 
     def test_shifted_curve_fails(self):
-        import dataclasses
-
         p = Histogram([0.5, 0.3, 0.2])
         q = Histogram([0.2, 0.3, 0.5])
         alpha = Alpha.finite(2)
