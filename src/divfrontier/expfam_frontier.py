@@ -4,7 +4,8 @@ The exclusive path interpolates linearly in natural coordinates; the
 inclusive path interpolates in moment coordinates and maps back through
 the inverse gradient of the log-partition. Both paths reach theta_P at
 lambda = 1 and theta_Q at lambda = 0 (this orientation is normalized only
-in CSV output, see :mod:`divfrontier.io`).
+in CSV output, see :mod:`divfrontier.io`). :func:`frontier_kl` evaluates
+a whole Gaussian path in closed form after diagonalising both covariances.
 """
 from __future__ import annotations
 
@@ -12,9 +13,9 @@ import numpy as np
 
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, _pareto_filter_triples
 from .distributions import Alpha, GaussianParams, check_same_dim
-from .divergences import ExpFamilySpec, bregman_kl, kl_gaussian
+from .divergences import ExpFamilySpec, _clip_nonneg, kl_gaussian
 from .errors import ParameterError
-from .expfamily import NaturalParams, gaussian_family, gaussian_to_natural
+from .expfamily import NaturalParams
 
 
 def expfam_curve_point(
@@ -41,28 +42,47 @@ def expfam_curve_point(
 def frontier_kl(
     P: GaussianParams, Q: GaussianParams, side: str, grid_size: int = 201
 ) -> FrontierCurve:
-    """KL frontier between Gaussians, evaluated via Bregman divergences.
+    """KL frontier between Gaussians on ``grid_size`` uniform lambdas.
 
     Points are (lambda, div_p, div_q): exclusive uses
     (KL(gamma||P), KL(gamma||Q)), inclusive (KL(P||gamma), KL(Q||gamma)).
+    Whitening Sigma_P + Sigma_Q and one eigendecomposition give P ~ N(a, diag t)
+    and Q ~ N(b, diag s) with t, s in (0, 1]. An exclusive point then has
+    precision lambda/t + (1-lambda)/s, so each KL is a sum of d 1-D KLs; an
+    inclusive point adds lambda(1-lambda)(a-b)(a-b)' to a diagonal
+    covariance, handled by the determinant lemma and Sherman-Morrison.
     """
     _check_side(side)
     check_same_dim(P, Q)
     if grid_size < 2:
         raise ParameterError("grid_size must be >= 2")
-    fam = gaussian_family(P.dim)
-    tp = gaussian_to_natural(P)
-    tq = gaussian_to_natural(Q)
-    triples = []
-    for lam in np.linspace(0.0, 1.0, grid_size):
-        gamma = expfam_curve_point(tp, tq, side, float(lam), fam)
-        if side == EXCLUSIVE:
-            div_p = bregman_kl(gamma.theta, tp.theta, fam)
-            div_q = bregman_kl(gamma.theta, tq.theta, fam)
-        else:
-            div_p = bregman_kl(tp.theta, gamma.theta, fam)
-            div_q = bregman_kl(tq.theta, gamma.theta, fam)
-        triples.append((float(lam), div_p, div_q))
+    chol = np.linalg.cholesky(P.cov + Q.cov)
+    wp, wq = (np.linalg.solve(chol, np.linalg.solve(chol, cov).T) for cov in (P.cov, Q.cov))
+    u = np.linalg.eigh(0.5 * (wp + wp.T))[1]
+    # both Rayleigh quotients, since 1 - t loses a tiny s
+    t, s = (np.einsum("ij,ij->j", u, w @ u) for w in (wp, wq))
+    if not (np.all(t > 0.0) and np.all(s > 0.0)):
+        raise ParameterError("covariances are too ill-conditioned for the KL frontier")
+    d2 = (u.T @ np.linalg.solve(chol, P.mean - Q.mean)) ** 2  # (a - b)^2
+    lams = np.linspace(0.0, 1.0, grid_size)
+    lam, mu = lams[:, None], 1.0 - lams[:, None]
+    # KL = (sum over axes of 1/r - 1 + log r + m, plus log k) / 2; each r is
+    # exactly 1 at its own end, so the vanishing coordinate is exactly 0 there
+    if side == EXCLUSIVE:
+        r_p, r_q = lam + mu * (t / s), lam * (s / t) + mu  # precision times t, s
+        shift = d2 / (r_p * r_q)  # (mean - a)^2 / t = mu^2 shift / s
+        m_p, m_q, log_k = mu * mu * shift / s, lam * lam * shift / t, 0.0
+    else:
+        var, c = lam * t + mu * s, lam * mu  # covariance diag(var) + c (a-b)(a-b)'
+        r_p, r_q = lam + mu * (s / t), lam * (t / s) + mu  # var / t, var / s
+        c_s0 = c * (d2 / var).sum(axis=1, keepdims=True)  # k = 1 + c_s0 by the determinant lemma
+        m_p, m_q = (d2 / var * (w * w - c / r) / (1.0 + c_s0) for w, r in ((mu, r_p), (lam, r_q)))
+        log_k = np.log1p(c_s0[:, 0])
+
+    def kl(r, m):
+        return map(_clip_nonneg, (0.5 * ((1.0 / r - 1.0 + np.log(r) + m).sum(axis=1) + log_k)).tolist())
+
+    triples = list(zip(lams.tolist(), kl(r_p, m_p), kl(r_q, m_q)))
     return FrontierCurve(_pareto_filter_triples(triples), side, Alpha.one())
 
 

@@ -27,12 +27,20 @@ def _encode_number(x: float):
     return "inf" if math.isinf(x) else float(x)
 
 
-def _decode_number(x) -> float:
-    if isinstance(x, str):
-        if x.strip().lower() == "inf":
-            return float("inf")
-        raise ParseError(f"unexpected string value {x!r} where a number was expected")
-    return float(x)
+def _number_list(value, field: str, path: Path) -> list[float]:
+    """A JSON list of numbers (or "inf") as floats; anything else is a
+    ParseError naming the field and the file."""
+    if not isinstance(value, list):
+        raise ParseError(f"field {field!r} must be a list of numbers, got {value!r}", path=str(path))
+    out = []
+    for x in value:
+        if isinstance(x, str) and x.strip().lower() == "inf":
+            out.append(float("inf"))
+        elif _is_number(x):
+            out.append(float(x))
+        else:
+            raise ParseError(f"field {field!r} must hold numbers, got {x!r}", path=str(path))
+    return out
 
 
 def _load_json(path: Path):
@@ -53,15 +61,17 @@ def load_distribution(path) -> Histogram | GaussianParams:
     kind = spec["type"]
     try:
         if kind == "histogram":
-            return Histogram(np.array([_decode_number(v) for v in spec["probs"]]))
+            return Histogram(np.array(_number_list(spec["probs"], "probs", path)))
         if kind == "gaussian":
-            mean = np.array([_decode_number(v) for v in spec["mean"]])
-            cov = np.array([[_decode_number(v) for v in row] for row in spec["cov"]])
+            mean = np.array(_number_list(spec["mean"], "mean", path))
+            rows = spec["cov"]
+            if not isinstance(rows, list):
+                raise ParseError(f"field 'cov' must be a list of lists, got {rows!r}", path=str(path))
+            cov = np.array([_number_list(row, f"cov[{i}]", path) for i, row in enumerate(rows)])
             return GaussianParams(mean, cov)
     except KeyError as exc:
         raise ParseError(f"missing key {exc.args[0]!r} in {kind} spec", path=str(path)) from exc
-    except (TypeError, ValueError) as exc:
-        # a scalar where a list belongs, or a ragged matrix
+    except (OverflowError, ValueError) as exc:  # an integer beyond float range, or a ragged matrix
         raise ParseError(f"malformed {kind} spec: {exc}", path=str(path)) from exc
     raise ParseError(f"unknown distribution type {kind!r}", path=str(path))
 

@@ -12,6 +12,7 @@ from divfrontier import (
     bernoulli_family,
     bregman_kl,
     expfam_curve_point,
+    fit_gaussian,
     frontier_kl,
     gaussian_family,
     gaussian_to_natural,
@@ -22,6 +23,7 @@ from divfrontier import (
     natural_to_moment,
     renyi_gaussian,
 )
+from divfrontier.discrete_frontier import _pareto_filter_triples
 from tests.conftest import random_gaussian
 
 
@@ -148,10 +150,11 @@ class TestFrontierKL:
         # wide Q covers P (good recall) but wastes mass (poor precision)
         assert prec_loss > rec_loss
 
-    def test_identical_inputs_collapse(self):
-        g = GaussianParams([1.0, -1.0], np.eye(2))
-        curve = frontier_kl(g, g, EXCLUSIVE, 21)
-        assert {(x, y) for _, x, y in curve.points} == {(0.0, 0.0)}
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    @pytest.mark.parametrize("d", [1, 2, 16])
+    def test_identical_inputs_collapse(self, d, side, rng):
+        g = random_gaussian(rng, d)
+        assert frontier_kl(g, g, side, 201).points == ((0.0, 0.0, 0.0),)
 
     @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
     def test_curve_is_monotone_tradeoff(self, side):
@@ -184,6 +187,121 @@ class TestFrontierKL:
         for _, cx, cy in curve.points:
             dominates = (to_p < cx - 1e-9) & (to_q < cy - 1e-9)
             assert not np.any(dominates)
+
+
+def frontier_kl_loop(P, Q, side, grid_size):
+    """The frontier_kl the closed form replaced: one path point and two
+    Bregman divergences of the packed natural parameters per lambda."""
+    fam = gaussian_family(P.dim)
+    tp, tq = gaussian_to_natural(P), gaussian_to_natural(Q)
+    triples = []
+    for lam in np.linspace(0.0, 1.0, grid_size):
+        gamma = expfam_curve_point(tp, tq, side, float(lam), fam)
+        if side == EXCLUSIVE:
+            pair = bregman_kl(gamma.theta, tp.theta, fam), bregman_kl(gamma.theta, tq.theta, fam)
+        else:
+            pair = bregman_kl(tp.theta, gamma.theta, fam), bregman_kl(tq.theta, gamma.theta, fam)
+        triples.append((float(lam), *pair))
+    return _pareto_filter_triples(triples)
+
+
+def conditioned_gaussian(rng, d, cond):
+    """Normal mean; covariance eigenvalues log-spaced over [1/cond, 1] in a random basis."""
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    cov = (basis * np.geomspace(1.0, 1.0 / cond, d)) @ basis.T
+    return GaussianParams(rng.standard_normal(d), 0.5 * (cov + cov.T))
+
+
+def equivalence_pair(d, kind):
+    """(P, Q, rtol) for one fixture of the closed-form equivalence test."""
+    rng = np.random.default_rng(EQUIVALENCE_CASES.index((d, kind)))
+    if kind.startswith("ridge"):  # pipeline fits with d > n samples, as in evaluate_pipeline
+        n = int(kind[5:])
+        fits = [fit_gaussian(scale * rng.standard_normal((n, d)) + shift, 1e-6) for scale, shift in ((1, 0), (0.7, 0.2))]
+        return (*fits, 1e-7)
+    if kind == "equal-cov":
+        P = conditioned_gaussian(rng, d, 1e4)
+        return P, GaussianParams(P.mean + 1.0, P.cov), 1e-10
+    cond = float(kind[4:])
+    P, Q = conditioned_gaussian(rng, d, cond), conditioned_gaussian(rng, d, cond)
+    return P, Q, 1e-10 if cond <= 1e4 else 1e-7
+
+
+EQUIVALENCE_CASES = [
+    (d, kind) for d in (1, 2, 8, 64, 128) for kind in ("cond1", "cond1e4", "cond1e8", "equal-cov")
+] + [(40, "ridge10"), (64, "ridge5")]
+
+
+class TestFrontierKLClosedForm:
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    @pytest.mark.parametrize("d,kind", EQUIVALENCE_CASES)
+    def test_matches_bregman_loop(self, d, kind, side):
+        P, Q, rtol = equivalence_pair(d, kind)
+        got = np.asarray(frontier_kl(P, Q, side, 51).points)
+        want = np.asarray(frontier_kl_loop(P, Q, side, 51))
+        assert got.shape == want.shape
+        assert got[:, 0].tolist() == want[:, 0].tolist()
+        # error relative to the point's larger coordinate: the loop's Bregman
+        # differences lose about eps |A(theta)| in both, and at cond 1e8 leave
+        # ~1e-7 where the closed form gives the exact 0 of an endpoint
+        scale = np.maximum(1.0, np.abs(want[:, 1:]).max(axis=1))
+        assert np.max(np.abs(got[:, 1:] - want[:, 1:]).max(axis=1) / scale) <= rtol
+
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    def test_diagonal_pair_is_a_sum_of_1d_kls(self, side):
+        # variance ratios of 1e12 both ways: s must be its own Rayleigh
+        # quotient, since 1 - t keeps only ~4 digits of s = 1e-12
+        mp, vp = np.array([0.0, 0.0, 1.0, 0.0]), np.array([1.0, 1e-12, 3.0, 1e-6])
+        mq, vq = np.array([0.5, 0.0, 1.0, 0.0]), np.array([1e-12, 1.0, 2.0, 3e-6])
+
+        def kl_sum(a, b):  # a and b as (means, variances), one 1-D KL per axis
+            return sum(kl_gaussian(GaussianParams([m1], [[v1]]), GaussianParams([m2], [[v2]])) for m1, v1, m2, v2 in zip(*a, *b))
+
+        curve = frontier_kl(GaussianParams(mp, np.diag(vp)), GaussianParams(mq, np.diag(vq)), side, 51)
+        assert [lam for lam, _, _ in curve.points] == np.linspace(0.0, 1.0, 51).tolist()
+        for lam, div_p, div_q in curve.points:
+            if side == EXCLUSIVE:
+                prec = lam / vp + (1 - lam) / vq
+                gamma = (lam * mp / vp + (1 - lam) * mq / vq) / prec, 1.0 / prec
+                want = kl_sum(gamma, (mp, vp)), kl_sum(gamma, (mq, vq))
+            else:  # the mean offset lies on one axis, so the path stays diagonal
+                gamma = lam * mp + (1 - lam) * mq, lam * vp + (1 - lam) * vq + lam * (1 - lam) * (mp - mq) ** 2
+                want = kl_sum((mp, vp), gamma), kl_sum((mq, vq), gamma)
+            assert max(abs(div_p - want[0]), abs(div_q - want[1])) <= 1e-12 * max(1.0, *want)
+
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    @pytest.mark.parametrize("d", [1, 16, 128])
+    def test_endpoints_are_kl_gaussian(self, d, side, rng):
+        P, Q = random_gaussian(rng, d), random_gaussian(rng, d)
+        (lam0, x0, y0), *_, (lam1, x1, y1) = frontier_kl(P, Q, side, 201).points
+        assert (lam0, lam1) == (0.0, 1.0)  # lambda = 0 is Q, lambda = 1 is P
+        assert y0 <= 1e-12 and x1 <= 1e-12
+        if side == EXCLUSIVE:
+            want0, want1 = kl_gaussian(Q, P), kl_gaussian(P, Q)
+        else:
+            want0, want1 = kl_gaussian(P, Q), kl_gaussian(Q, P)
+        assert x0 == pytest.approx(want0, rel=1e-12, abs=0.0)
+        assert y1 == pytest.approx(want1, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    def test_near_singular_covariances_give_valid_points_or_parameter_error(self, side, rng):
+        # eigenvalues down to 1e-19 pass GaussianParams' Cholesky check but
+        # can leave a whitened variance at or below 0 after rounding
+        for _ in range(300):
+            covs = []
+            for _ in range(2):
+                basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+                cov = (basis * np.array([1.0, 1e-8, 10 ** rng.uniform(-19, -15)])) @ basis.T
+                covs.append(0.5 * (cov + cov.T))
+            try:
+                P, Q = (GaussianParams(rng.standard_normal(3), cov) for cov in covs)
+            except ParameterError:
+                continue
+            try:
+                points = np.asarray(frontier_kl(P, Q, side, 11).points)
+            except ParameterError:
+                continue
+            assert np.all(np.isfinite(points)) and np.all(points[:, 1:] >= 0.0)
 
 
 class TestBregmanDuality:

@@ -414,6 +414,19 @@ BAD_CONFIGS = {
     "alphas-unparseable": '{"alphas": ["abc"]}',
 }
 
+# distribution specs whose fields have the wrong JSON type, with the command that reads them
+BAD_SPECS = {
+    "cov-bool": ("endpoints", '{"type": "gaussian", "mean": [0], "cov": [[true]]}'),
+    "cov-flat": ("endpoints", '{"type": "gaussian", "mean": [0, 0], "cov": [1, 0, 0, 1]}'),
+    "cov-row-object": ("endpoints", '{"type": "gaussian", "mean": [0], "cov": [{"a": 1}]}'),
+    "cov-string": ("endpoints", '{"type": "gaussian", "mean": [0], "cov": [["abc"]]}'),
+    "mean-scalar": ("endpoints", '{"type": "gaussian", "mean": 0, "cov": [[1]]}'),
+    "probs-bool": ("prd", '{"type": "histogram", "probs": [true, false]}'),
+    "probs-object": ("prd", '{"type": "histogram", "probs": {"a": 1}}'),
+    "probs-string": ("prd", '{"type": "histogram", "probs": ["abc", 0.5]}'),
+    "probs-huge-int": ("prd", '{"type": "histogram", "probs": [1%s, 1]}' % ("0" * 400)),
+}
+
 MALFORMED_INPUTS = {
     "missing-samples-csv": ("pipeline", "--p", "{d}/missing.csv", "--q", "{d}/ok.csv", "--output", "{d}/run"),
     "scalar-probs": ("prd", "--p", "{d}/scalar.json", "--q", "{d}/h.json", "--output", "{d}/prd.csv"),
@@ -426,6 +439,10 @@ MALFORMED_INPUTS = {
             "pipeline", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--config", f"{{d}}/{name}.json", "--output", "{d}/run",
         )
         for name in BAD_CONFIGS
+    },
+    **{
+        f"spec-{name}": (command, "--p", f"{{d}}/spec-{name}.json", "--q", f"{{d}}/spec-{name}.json", "--output", "{d}/out.csv")
+        for name, (command, _) in BAD_SPECS.items()
     },
 }
 
@@ -445,6 +462,8 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     write(tmp_path / "list.json", "[1, 2]")
     for name, text in BAD_CONFIGS.items():
         write(tmp_path / f"{name}.json", text)
+    for name, (_, text) in BAD_SPECS.items():
+        write(tmp_path / f"spec-{name}.json", text)
     proc = run_python("-m", "divfrontier.cli", *(a.format(d=tmp_path) for a in MALFORMED_INPUTS[case]))
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -461,6 +480,20 @@ def test_integral_float_config_fields_accepted(tmp_path):
 
 def test_import_loads_no_scipy():
     code = "import sys, divfrontier; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_gaussian_frontier_loads_no_scipy():
+    code = (
+        "import sys, numpy as np, divfrontier as df\n"
+        "rng = np.random.default_rng(0)\n"
+        "P, Q = (df.GaussianParams(rng.standard_normal(8), np.eye(8) + k * np.ones((8, 8))) for k in (0.1, 0.5))\n"
+        "for side in (df.EXCLUSIVE, df.INCLUSIVE):\n"
+        "    assert len(df.frontier_kl(P, Q, side).points) > 1\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
