@@ -43,12 +43,11 @@ from .oracle import certify_frontier
 
 log = logging.getLogger("divfrontier")
 
+_PIPELINE_DEFAULTS = PipelineConfig()
 DEFAULTS = {
-    "grid_size": 201,
-    "ridge": 1e-6,
-    "knn_k": 3,
-    "k_clusters": 20,
-    "seed": 0,
+    "grid_size": _PIPELINE_DEFAULTS.grid_size,
+    "ridge": _PIPELINE_DEFAULTS.ridge,
+    "knn_k": _PIPELINE_DEFAULTS.knn_k,
     "side": EXCLUSIVE,
     "m": 60,
 }
@@ -297,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except DivFrontierError as exc:
         log.error("%s", exc)
+        return 1
+    except OSError as exc:  # io turns read failures into ParseError, so this is a write
+        log.error("cannot write output %s: %s", args.output, exc)
         return 1
     return 0
 

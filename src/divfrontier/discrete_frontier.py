@@ -53,93 +53,65 @@ def _check_lambda_unit(lam: float) -> None:
         raise ParameterError(f"lambda must be in [0,1], got {lam}")
 
 
-def _log_mix(log_a: np.ndarray, log_b: np.ndarray, lam: float) -> np.ndarray:
-    """log(lam*exp(log_a) + (1-lam)*exp(log_b)), elementwise, -inf safe."""
-    with np.errstate(divide="ignore"):
-        return np.logaddexp(np.log(lam) + log_a, np.log1p(-lam) + log_b)
+def _power_mean_point(p: Histogram, q: Histogram, e: float, lam: float) -> Histogram:
+    """Point on the barycentric path whose entries are power means of order e,
+    gamma_i proportional to (lam*q_i^e + (1-lam)*p_i^e)^(1/e).
 
-
-def _normalize_from_log(log_w: np.ndarray, zero_mask: np.ndarray) -> Histogram:
-    """Histogram proportional to exp(log_w), with zero_mask entries pinned to 0."""
-    w = np.zeros(log_w.shape[0])
-    live = ~zero_mask
-    if not np.any(live):
-        raise ParameterError("barycentric path point has empty support")
-    shifted = log_w[live] - np.max(log_w[live])
-    w[live] = np.exp(shifted)
-    return Histogram(w)
-
-
-def exclusive_curve_point(p: Histogram, q: Histogram, alpha: Alpha, lam: float) -> Histogram:
-    """Point on the exclusive barycentric path,
-    gamma_i proportional to (lam*q_i^(1-a) + (1-lam)*p_i^(1-a))^(1/(1-a)).
-
-    For a > 1 the exponent 1-a is negative, so a zero in either p_i or q_i
-    forces gamma_i = 0 on the open interval (continuity limit of the formula).
+    Order 0 is the geometric mean q_i^lam * p_i^(1-lam) and order 1 the
+    arithmetic mean. For e <= 0 a zero in either p_i or q_i forces
+    gamma_i = 0 on the open interval (continuity limit of the formula);
+    for e > 0 only a zero in both does.
     """
-    if not alpha.is_finite:
-        raise ParameterError(
-            "exclusive_curve_point needs a finite alpha != 1; use kl_curve_point "
-            "or infinity_geodesic_point for the limits"
-        )
     check_same_length(p, q)
     _check_lambda_unit(lam)
     if lam == 0.0:
         return Histogram(p.probs)
     if lam == 1.0:
         return Histogram(q.probs)
-    a = alpha.value
-    e = 1.0 - a
     pv, qv = p.probs, q.probs
+    if e == 1.0:
+        return Histogram(lam * qv + (1.0 - lam) * pv)
     with np.errstate(divide="ignore"):
         log_p, log_q = np.log(pv), np.log(qv)
-    if a < 1:
-        zero = (pv == 0) & (qv == 0)
-    else:
-        zero = (pv == 0) | (qv == 0)
-    log_w = _log_mix(e * log_q, e * log_p, lam) / e
-    return _normalize_from_log(log_w, zero)
+        if e == 0.0:
+            log_w = lam * log_q + (1.0 - lam) * log_p
+        else:
+            log_w = np.logaddexp(np.log(lam) + e * log_q, np.log1p(-lam) + e * log_p) / e
+    live = (pv > 0) & (qv > 0) if e <= 0.0 else (pv > 0) | (qv > 0)
+    if not np.any(live):
+        raise ParameterError("barycentric path point has empty support")
+    w = np.zeros(pv.size)
+    w[live] = np.exp(log_w[live] - np.max(log_w[live]))
+    return Histogram(w)
+
+
+def exclusive_curve_point(p: Histogram, q: Histogram, alpha: Alpha, lam: float) -> Histogram:
+    """Point on the exclusive barycentric path, the power mean of order 1-a:
+    gamma_i proportional to (lam*q_i^(1-a) + (1-lam)*p_i^(1-a))^(1/(1-a))."""
+    if not alpha.is_finite:
+        raise ParameterError(
+            "exclusive_curve_point needs a finite alpha != 1; use kl_curve_point "
+            "or infinity_geodesic_point for the limits"
+        )
+    return _power_mean_point(p, q, 1.0 - alpha.value, lam)
 
 
 def inclusive_curve_point(p: Histogram, q: Histogram, alpha: Alpha, lam: float) -> Histogram:
-    """Point on the inclusive path,
+    """Point on the inclusive path, the power mean of order a:
     gamma_i proportional to (lam*q_i^a + (1-lam)*p_i^a)^(1/a)."""
     if not alpha.is_finite:
         raise ParameterError(
             "inclusive_curve_point needs a finite alpha != 1; use kl_curve_point "
             "for the alpha=1 limit"
         )
-    check_same_length(p, q)
-    _check_lambda_unit(lam)
-    if lam == 0.0:
-        return Histogram(p.probs)
-    if lam == 1.0:
-        return Histogram(q.probs)
-    a = alpha.value
-    pv, qv = p.probs, q.probs
-    zero = (pv == 0) & (qv == 0)
-    with np.errstate(divide="ignore"):
-        log_w = _log_mix(a * np.log(qv), a * np.log(pv), lam) / a
-    return _normalize_from_log(log_w, zero)
+    return _power_mean_point(p, q, alpha.value, lam)
 
 
 def kl_curve_point(p: Histogram, q: Histogram, side: str, lam: float) -> Histogram:
     """alpha = 1 limits of the paths: normalized geometric mixture
-    (exclusive) or arithmetic mixture (inclusive)."""
+    (exclusive, order 0) or arithmetic mixture (inclusive, order 1)."""
     _check_side(side)
-    check_same_length(p, q)
-    _check_lambda_unit(lam)
-    if lam == 0.0:
-        return Histogram(p.probs)
-    if lam == 1.0:
-        return Histogram(q.probs)
-    pv, qv = p.probs, q.probs
-    if side == INCLUSIVE:
-        return Histogram(lam * qv + (1.0 - lam) * pv)
-    zero = (pv == 0) | (qv == 0)
-    with np.errstate(divide="ignore"):
-        log_w = lam * np.log(qv) + (1.0 - lam) * np.log(pv)
-    return _normalize_from_log(log_w, zero)
+    return _power_mean_point(p, q, 1.0 if side == INCLUSIVE else 0.0, lam)
 
 
 def _ratio_domain(p: Histogram, q: Histogram) -> tuple[float, float]:
@@ -243,12 +215,9 @@ def frontier(
         gammas = [infinity_geodesic_point(p, q, lam) for lam in lams]
     else:
         lams = np.linspace(0.0, 1.0, grid_size)
-        if alpha.is_one:
-            gammas = [kl_curve_point(p, q, side, lam) for lam in lams]
-        elif side == EXCLUSIVE:
-            gammas = [exclusive_curve_point(p, q, alpha, lam) for lam in lams]
-        else:
-            gammas = [inclusive_curve_point(p, q, alpha, lam) for lam in lams]
+        a = 1.0 if alpha.is_one else alpha.value
+        e = a if side == INCLUSIVE else 1.0 - a
+        gammas = [_power_mean_point(p, q, e, lam) for lam in lams]
     G = np.stack([g.probs for g in gammas])
     if side == EXCLUSIVE:
         div_p, div_q = renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)
@@ -258,10 +227,18 @@ def frontier(
     return FrontierCurve(_pareto_filter_triples(triples), side, alpha)
 
 
-def _pareto_max(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Maximal points (no other strictly larger in both coordinates)."""
-    flipped = pareto_filter([(-x, -y) for x, y in points])
-    return sorted((-x, -y) for x, y in flipped)
+def _prd_curve(pairs) -> PRDCurve:
+    """Pareto-maximal (precision, recall) pairs, sorted by recall.
+
+    A pair with a zero coordinate becomes (0, 0): an infinite divergence
+    means no shared component realizes it, and only (0, 0) is in the
+    precision-recall set by convention. (0, 0) is always added, so the
+    curve is never empty.
+    """
+    xy = np.array(pairs, dtype=float).reshape(-1, 2)
+    xy[np.any(xy == 0.0, axis=1)] = 0.0
+    front = pareto_filter(-np.vstack([xy, [[0.0, 0.0]]]))
+    return PRDCurve(tuple(sorted(((-x, -y) for x, y in front), key=lambda t: (t[1], t[0]))))
 
 
 def prd_from_infinity_frontier(curve: FrontierCurve) -> PRDCurve:
@@ -272,21 +249,8 @@ def prd_from_infinity_frontier(curve: FrontierCurve) -> PRDCurve:
     """
     if not (curve.alpha.is_infinity and curve.side == EXCLUSIVE):
         raise ParameterError("PRD mapping needs an alpha=inf exclusive frontier")
-    pairs = []
-    for _, div_p, div_q in curve.points:
-        precision = float(np.exp(-div_q))
-        recall = float(np.exp(-div_p))
-        if precision == 0.0 or recall == 0.0:
-            # an infinite divergence means no shared component realizes the
-            # pair; only (0,0) is in the precision-recall set by convention
-            pairs.append((0.0, 0.0))
-        else:
-            pairs.append((precision, recall))
-    if not pairs:
-        pairs = [(0.0, 0.0)]
-    pts = _pareto_max(pairs)
-    # report as (precision, recall), sorted by recall ascending
-    return PRDCurve(tuple(sorted(pts, key=lambda t: (t[1], t[0]))))
+    divs = np.asarray(curve.points, dtype=float).reshape(-1, 3)[:, [2, 1]]
+    return _prd_curve(np.exp(-divs))
 
 
 def prd_reference(p: Histogram, q: Histogram, grid_size: int = 201) -> PRDCurve:
@@ -307,10 +271,5 @@ def prd_reference(p: Histogram, q: Histogram, grid_size: int = 201) -> PRDCurve:
                 recall = float(np.minimum(pv, qv / lam).sum())
         else:
             recall = float(pv[qv > 0].sum())  # lam -> 0: all q-supported mass of p
-        if precision == 0.0 or recall == 0.0:
-            pairs.append((0.0, 0.0))  # only (0,0) is realizable at a zero coordinate
-        else:
-            pairs.append((precision, recall))
-    pairs.append((0.0, 0.0))
-    pts = _pareto_max(pairs)
-    return PRDCurve(tuple(sorted(pts, key=lambda t: (t[1], t[0]))))
+        pairs.append((precision, recall))
+    return _prd_curve(pairs)

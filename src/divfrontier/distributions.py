@@ -6,6 +6,7 @@ in the constructor, so downstream code can assume well-formed inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ class Histogram:
         total = probs.sum()
         if total <= 0:
             raise ParameterError("histogram must have positive total mass")
+        if math.isinf(total):  # finite entries whose sum overflows
+            probs = probs / probs.max()
+            total = probs.sum()
         probs = probs / total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

@@ -163,6 +163,8 @@ def quantize(
         raise ParameterError("k must be >= 2")
     if k > pooled.shape[0]:
         raise ParameterError(f"k={k} exceeds combined sample count {pooled.shape[0]}")
+    if seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     centers = _kmeans_pp_init(pooled, k, rng)
     centers, _ = _lloyd(pooled, centers)

@@ -17,10 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .discrete_frontier import FrontierCurve, PRDCurve
-from .distributions import GaussianParams, Histogram
+from .distributions import Alpha, GaussianParams, Histogram
 from .errors import ParameterError, ParseError
 from .estimation import PipelineConfig
-from .distributions import Alpha
 
 
 def _encode_number(x: float):
@@ -189,6 +188,12 @@ def load_pipeline_config(path) -> PipelineConfig:
             raise ParseError(f"config field {key!r} must be {noun}, got {value!r}", path=str(path))
         return kind(value)
 
+    def seed():
+        value = field("seed", int)
+        if value < 0:  # np.random.default_rng takes only non-negative seeds
+            raise ParseError(f"config field 'seed' must be a non-negative integer, got {value}", path=str(path))
+        return value
+
     try:
         return PipelineConfig(
             k_clusters=field("k_clusters", int),
@@ -196,7 +201,7 @@ def load_pipeline_config(path) -> PipelineConfig:
             ridge=field("ridge", float),
             alphas=tuple(Alpha.parse(a) for a in alphas) or defaults.alphas,
             grid_size=field("grid_size", int),
-            seed=field("seed", int),
+            seed=seed(),
         )
     except (OverflowError, ParameterError) as exc:  # the latter from Alpha.parse
         raise ParseError(f"bad config value: {exc}", path=str(path)) from exc

@@ -21,6 +21,15 @@ from divfrontier import (
     prd_reference,
     renyi_discrete,
 )
+from divfrontier.discrete_frontier import (
+    _check_lambda_unit,
+    _check_side,
+    _geometric_lambda_grid,
+    _pareto_filter_triples,
+    _ratio_domain,
+)
+from divfrontier.distributions import check_same_length
+from divfrontier.divergences import renyi_rows
 from tests.conftest import random_histogram
 
 P = Histogram([0.5, 0.5])
@@ -313,3 +322,239 @@ class TestPRD:
         prd = prd_from_infinity_frontier(frontier(p, q, Alpha.infinity(), EXCLUSIVE, 101))
         for prec, rec in prd.points:
             assert 0.0 <= prec <= 1.0 and 0.0 <= rec <= 1.0
+
+
+# The per-order path functions, frontier dispatch and PRD loops as they were
+# before every finite-order path became one power-mean function; the
+# equivalence tests below require the package to match them bit for bit.
+
+
+def _ref_log_mix(log_a, log_b, lam):
+    with np.errstate(divide="ignore"):
+        return np.logaddexp(np.log(lam) + log_a, np.log1p(-lam) + log_b)
+
+
+def _ref_normalize_from_log(log_w, zero_mask):
+    w = np.zeros(log_w.shape[0])
+    live = ~zero_mask
+    if not np.any(live):
+        raise ParameterError("barycentric path point has empty support")
+    shifted = log_w[live] - np.max(log_w[live])
+    w[live] = np.exp(shifted)
+    return Histogram(w)
+
+
+def ref_exclusive_curve_point(p, q, alpha, lam):
+    if not alpha.is_finite:
+        raise ParameterError(
+            "exclusive_curve_point needs a finite alpha != 1; use kl_curve_point "
+            "or infinity_geodesic_point for the limits"
+        )
+    check_same_length(p, q)
+    _check_lambda_unit(lam)
+    if lam == 0.0:
+        return Histogram(p.probs)
+    if lam == 1.0:
+        return Histogram(q.probs)
+    a = alpha.value
+    e = 1.0 - a
+    pv, qv = p.probs, q.probs
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(pv), np.log(qv)
+    if a < 1:
+        zero = (pv == 0) & (qv == 0)
+    else:
+        zero = (pv == 0) | (qv == 0)
+    log_w = _ref_log_mix(e * log_q, e * log_p, lam) / e
+    return _ref_normalize_from_log(log_w, zero)
+
+
+def ref_inclusive_curve_point(p, q, alpha, lam):
+    if not alpha.is_finite:
+        raise ParameterError(
+            "inclusive_curve_point needs a finite alpha != 1; use kl_curve_point "
+            "for the alpha=1 limit"
+        )
+    check_same_length(p, q)
+    _check_lambda_unit(lam)
+    if lam == 0.0:
+        return Histogram(p.probs)
+    if lam == 1.0:
+        return Histogram(q.probs)
+    a = alpha.value
+    pv, qv = p.probs, q.probs
+    zero = (pv == 0) & (qv == 0)
+    with np.errstate(divide="ignore"):
+        log_w = _ref_log_mix(a * np.log(qv), a * np.log(pv), lam) / a
+    return _ref_normalize_from_log(log_w, zero)
+
+
+def ref_kl_curve_point(p, q, side, lam):
+    _check_side(side)
+    check_same_length(p, q)
+    _check_lambda_unit(lam)
+    if lam == 0.0:
+        return Histogram(p.probs)
+    if lam == 1.0:
+        return Histogram(q.probs)
+    pv, qv = p.probs, q.probs
+    if side == INCLUSIVE:
+        return Histogram(lam * qv + (1.0 - lam) * pv)
+    zero = (pv == 0) | (qv == 0)
+    with np.errstate(divide="ignore"):
+        log_w = lam * np.log(qv) + (1.0 - lam) * np.log(pv)
+    return _ref_normalize_from_log(log_w, zero)
+
+
+def ref_finite_frontier(p, q, alpha, side, grid_size):
+    """The finite-alpha branch of frontier(), dispatching on order and side."""
+    lams = np.linspace(0.0, 1.0, grid_size)
+    if alpha.is_one:
+        gammas = [ref_kl_curve_point(p, q, side, lam) for lam in lams]
+    elif side == EXCLUSIVE:
+        gammas = [ref_exclusive_curve_point(p, q, alpha, lam) for lam in lams]
+    else:
+        gammas = [ref_inclusive_curve_point(p, q, alpha, lam) for lam in lams]
+    G = np.stack([g.probs for g in gammas])
+    if side == EXCLUSIVE:
+        div_p, div_q = renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)
+    else:
+        div_p, div_q = renyi_rows(p.probs, G, alpha), renyi_rows(q.probs, G, alpha)
+    return _pareto_filter_triples(list(zip(lams.tolist(), div_p.tolist(), div_q.tolist())))
+
+
+def _ref_pareto_max(points):
+    flipped = pareto_filter([(-x, -y) for x, y in points])
+    return sorted((-x, -y) for x, y in flipped)
+
+
+def ref_prd_from_infinity_frontier(curve):
+    pairs = []
+    for _, div_p, div_q in curve.points:
+        precision = float(np.exp(-div_q))
+        recall = float(np.exp(-div_p))
+        if precision == 0.0 or recall == 0.0:
+            pairs.append((0.0, 0.0))
+        else:
+            pairs.append((precision, recall))
+    if not pairs:
+        pairs = [(0.0, 0.0)]
+    pts = _ref_pareto_max(pairs)
+    return tuple(sorted(pts, key=lambda t: (t[1], t[0])))
+
+
+def ref_prd_reference(p, q, grid_size):
+    pv, qv = p.probs, q.probs
+    lams = _geometric_lambda_grid(*_ratio_domain(p, q), grid_size)
+    pairs = []
+    for lam in lams:
+        precision = float(np.minimum(lam * pv, qv).sum())
+        if lam > 0.0:
+            with np.errstate(divide="ignore"):
+                recall = float(np.minimum(pv, qv / lam).sum())
+        else:
+            recall = float(pv[qv > 0].sum())
+        if precision == 0.0 or recall == 0.0:
+            pairs.append((0.0, 0.0))
+        else:
+            pairs.append((precision, recall))
+    pairs.append((0.0, 0.0))
+    pts = _ref_pareto_max(pairs)
+    return tuple(sorted(pts, key=lambda t: (t[1], t[0])))
+
+
+def equivalence_pairs():
+    """(name, p, q) raw vectors: dense, near-zero masses, zero bins in p, in
+    q and in both, disjoint supports, and identical or nearly equal pairs."""
+    rng = np.random.default_rng(2024)
+    out = []
+    for n in (2, 8, 64):
+        p, q = rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))
+        tiny_p, tiny_q = p.copy(), q.copy()
+        tiny_p[0], tiny_q[-1] = 1e-300, 1e-300
+        zero_p, zero_q = p.copy(), q.copy()
+        zero_p[: max(1, n // 4)] = 0.0
+        zero_q[-max(1, n // 4):] = 0.0
+        zero_both_p, zero_both_q = zero_p.copy(), q.copy()
+        zero_both_q[0] = 0.0
+        if n > 2:
+            zero_both_p[-1] = zero_both_q[1] = 0.0
+        half = max(1, n // 2)
+        disjoint_p = np.where(np.arange(n) < half, p, 0.0)
+        disjoint_q = np.where(np.arange(n) < half, 0.0, q)
+        near = p.copy()
+        near[0] += 5e-13
+        near[-1] -= 5e-13
+        out += [
+            (f"dense-{n}", p, q),
+            (f"tiny-{n}", tiny_p, tiny_q),
+            (f"zero-p-{n}", zero_p, q),
+            (f"zero-q-{n}", p, zero_q),
+            (f"zero-both-{n}", zero_both_p, zero_both_q),
+            (f"disjoint-{n}", disjoint_p, disjoint_q),
+            (f"identical-{n}", p, p.copy()),
+            (f"near-{n}", p, near),
+        ]
+    return out
+
+
+EQUIVALENCE_PAIRS = equivalence_pairs()
+EQUIVALENCE_ALPHAS = [Alpha.parse(a) for a in ("1e-3", "0.5", "1", "2", "1e4", "inf")]
+PATH_LAMBDAS = [0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0]
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed: both sides must raise alike
+        return (type(exc), str(exc))
+
+
+def same_point(got, want) -> bool:
+    if isinstance(want, tuple) or isinstance(got, tuple):
+        return got == want
+    return got.probs.dtype == want.probs.dtype and np.array_equal(got.probs, want.probs)
+
+
+class TestPowerMeanEquivalence:
+    @pytest.mark.parametrize("name, pv, qv", EQUIVALENCE_PAIRS, ids=[c[0] for c in EQUIVALENCE_PAIRS])
+    def test_path_points_bit_identical(self, name, pv, qv):
+        p, q = Histogram(pv), Histogram(qv)
+        for lam in PATH_LAMBDAS + [-0.1, 1.5, float("nan")]:
+            for side in (EXCLUSIVE, INCLUSIVE, "both"):
+                got = outcome(kl_curve_point, p, q, side, lam)
+                assert same_point(got, outcome(ref_kl_curve_point, p, q, side, lam)), (side, lam)
+            for alpha in EQUIVALENCE_ALPHAS + [Alpha.zero()]:
+                for fn, ref in (
+                    (exclusive_curve_point, ref_exclusive_curve_point),
+                    (inclusive_curve_point, ref_inclusive_curve_point),
+                ):
+                    got = outcome(fn, p, q, alpha, lam)
+                    assert same_point(got, outcome(ref, p, q, alpha, lam)), (fn.__name__, str(alpha), lam)
+
+    def test_length_mismatch_errors_unchanged(self):
+        p, q = Histogram([0.5, 0.5]), Histogram([0.2, 0.3, 0.5])
+        for lam in (0.0, 0.5, 2.0):
+            assert outcome(kl_curve_point, p, q, EXCLUSIVE, lam) == outcome(ref_kl_curve_point, p, q, EXCLUSIVE, lam)
+            for alpha in (Alpha.finite(2), Alpha.one()):
+                assert outcome(exclusive_curve_point, p, q, alpha, lam) == outcome(
+                    ref_exclusive_curve_point, p, q, alpha, lam
+                )
+                assert outcome(inclusive_curve_point, p, q, alpha, lam) == outcome(
+                    ref_inclusive_curve_point, p, q, alpha, lam
+                )
+
+    @pytest.mark.parametrize("name, pv, qv", EQUIVALENCE_PAIRS, ids=[c[0] for c in EQUIVALENCE_PAIRS])
+    def test_frontiers_and_prd_identical(self, name, pv, qv):
+        p, q = Histogram(pv), Histogram(qv)
+        for grid_size in (2, 51):
+            for side in (EXCLUSIVE, INCLUSIVE):
+                for alpha in EQUIVALENCE_ALPHAS[:-1]:  # the alpha=inf geodesic branch is unchanged
+                    got = outcome(lambda: frontier(p, q, alpha, side, grid_size).points)
+                    want = outcome(ref_finite_frontier, p, q, alpha, side, grid_size)
+                    assert repr(got) == repr(want), (side, str(alpha))  # repr tells -0.0 from 0.0
+            curve = frontier(p, q, Alpha.infinity(), EXCLUSIVE, grid_size)
+            got = prd_from_infinity_frontier(curve).points
+            assert repr(got) == repr(ref_prd_from_infinity_frontier(curve))
+            assert repr(prd_reference(p, q, grid_size).points) == repr(ref_prd_reference(p, q, grid_size))

@@ -12,6 +12,10 @@ class TestHistogram:
         h = Histogram([2.0, 2.0])
         np.testing.assert_allclose(h.probs, [0.5, 0.5])
 
+    def test_normalizes_when_total_overflows(self):
+        np.testing.assert_array_equal(Histogram([1e308, 1e308]).probs, [0.5, 0.5])
+        np.testing.assert_array_equal(Histogram([1.7e308, 1.7e308, 0.0]).probs, [0.5, 0.5, 0.0])
+
     def test_sum_within_tolerance(self):
         h = Histogram([0.3, 0.3, 0.7])
         assert abs(h.probs.sum() - 1.0) <= 1e-12

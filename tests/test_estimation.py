@@ -123,6 +123,8 @@ class TestQuantize:
             quantize(x, x, k=11)
         with pytest.raises(ParameterError):
             quantize(np.zeros((5, 1)), np.zeros((5, 2)), k=2)
+        with pytest.raises(ParameterError, match="seed"):
+            quantize(x, x, k=2, seed=-1)
 
 
 class TestKnnSupportMetrics:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import divfrontier
@@ -410,6 +410,7 @@ BAD_CONFIGS = {
     "knn-k-bool": '{"knn_k": true}',
     "grid-size-bool": '{"grid_size": true}',
     "seed-bool": '{"seed": true}',
+    "seed-negative": '{"seed": -1}',
     "alphas-string": '{"alphas": "inf"}',
     "alphas-unparseable": '{"alphas": ["abc"]}',
 }
@@ -470,6 +471,35 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert str(tmp_path) in proc.stderr
 
 
+# each command with an --output it cannot write: a missing parent directory,
+# a directory where a file goes, or a file where the pipeline's directory goes
+UNWRITABLE_OUTPUTS = {
+    "fit": ("fit", "--samples", "{d}/ok.csv", "--output", "{d}/missing/g.json"),
+    "frontier": ("frontier", "--p", "{d}/h.json", "--q", "{d}/h.json", "--alpha", "2", "--output", "{d}/missing/f.csv"),
+    "frontier-dir": ("frontier", "--p", "{d}/h.json", "--q", "{d}/h.json", "--alpha", "2", "--output", "{d}"),
+    "prd": ("prd", "--p", "{d}/h.json", "--q", "{d}/h.json", "--output", "{d}/missing/prd.csv"),
+    "endpoints": ("endpoints", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--output", "{d}/missing/e.csv"),
+    "knn": ("knn", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--output", "{d}/missing/knn.json"),
+    "oracle-check": (
+        "oracle-check", "--p", "{d}/h.json", "--q", "{d}/h.json", "--alpha", "2", "--m", "10", "--output", "{d}/missing/v.json",
+    ),
+    "pipeline-file": (
+        "pipeline", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--config", "{d}/cfg.json", "--output", "{d}/ok.csv",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_exits_1_without_traceback(tmp_path, case):
+    write(tmp_path / "ok.csv", "0.0,1.0\n1.0,0.5\n2.0,2.0\n0.5,1.5\n3.0,0.0\n")
+    write(tmp_path / "h.json", '{"type": "histogram", "probs": [0.5, 0.5]}')
+    write(tmp_path / "cfg.json", '{"k_clusters": 2, "knn_k": 1, "grid_size": 11}')
+    proc = run_python("-m", "divfrontier.cli", *(a.format(d=tmp_path) for a in UNWRITABLE_OUTPUTS[case]))
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "cannot write output" in proc.stderr and str(tmp_path) in proc.stderr
+
+
 def test_integral_float_config_fields_accepted(tmp_path):
     path = write(tmp_path / "c.json", '{"grid_size": 1e2, "seed": 7.0, "ridge": 0, "alphas": [2, "inf"]}')
     cfg = load_pipeline_config(path)
@@ -497,3 +527,148 @@ def test_gaussian_frontier_loads_no_scipy():
     proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# CLI fuzz: generated specs and configs through main, in process. Half the
+# draws are well formed; the other half have one field replaced by junk.
+# Junk for integer fields is negatives, bools, non-integral floats and
+# strings. Sizes are capped (grid_size <= 64, m <= 20, 40-row sample CSVs)
+# only to bound the run time, so integer junk stays integral only up to 64.
+INTEGER_JUNK = st.one_of(
+    st.integers(-3, 64),
+    st.booleans(),
+    st.floats(-3.0, 64.0).filter(lambda x: not x.is_integer()),
+    st.sampled_from(["7", "abc", ""]),
+)
+JUNK = st.one_of(
+    INTEGER_JUNK,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e-300, 1e308, -1.0, "inf", None, [], [1], {"a": 1}]),
+)
+PROB = st.one_of(st.floats(0.0, 10.0), st.sampled_from([0, 1e-300, 3, 1e308]))
+ALPHA_TEXT = st.sampled_from(["0", "1", "2", "0.5", "1e-3", "1e4", "inf", "-1", "abc"])
+
+
+@st.composite
+def with_junk(draw, valid, paths, junk=JUNK):
+    """A valid value, or half the time one with the item at one of the
+    given key paths replaced by junk."""
+    value = draw(valid)
+    if draw(st.booleans()):
+        *parents, key = draw(st.sampled_from(paths))
+        target = value
+        for k in parents:
+            target = target[k]
+        target[key] = draw(junk)
+    return value
+
+
+def histogram_spec(n: int):
+    valid = st.builds(lambda probs: {"type": "histogram", "probs": probs}, st.lists(PROB, min_size=n, max_size=n))
+    return with_junk(valid, [("type",), ("probs",), ("probs", 0), ("probs", -1)])
+
+
+@st.composite
+def _gaussian(draw):
+    d = draw(st.integers(1, 3))
+    mean = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    diagonal = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
+    off = draw(st.floats(-0.03, 0.03))
+    cov = [[diagonal[i] if i == j else off for j in range(d)] for i in range(d)]
+    return {"type": "gaussian", "mean": mean, "cov": cov}
+
+
+def gaussian_spec():
+    return with_junk(_gaussian(), [("mean",), ("mean", 0), ("cov",), ("cov", 0), ("cov", 0, 0), ("cov", -1, 0)])
+
+
+def pipeline_config():
+    valid = st.fixed_dictionaries(
+        {},
+        optional={
+            "k_clusters": st.integers(2, 20),
+            "knn_k": st.integers(1, 10),
+            "grid_size": st.integers(2, 64),
+            "seed": st.integers(0, 2**64),
+            "ridge": st.sampled_from([0, 1e-6, 0.5]),
+            "alphas": st.lists(ALPHA_TEXT, max_size=3),
+        },
+    )
+    integers = with_junk(valid, [("k_clusters",), ("knn_k",), ("grid_size",), ("seed",)], INTEGER_JUNK)
+    return with_junk(integers, [("ridge",), ("alphas",)])
+
+
+def run_cli_twice(d: Path, argv: list[str]) -> None:
+    """main must return an exit code in 0..4; a successful rerun rewrites
+    every output file byte for byte."""
+    out = d / "out"
+
+    def run():
+        code = main([a.format(d=d) for a in argv])
+        assert code in range(5)
+        event(f"exit {code}")
+        return code, {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+    out.mkdir()
+    code, first = run()
+    if code == 0:
+        assert first and run() == (0, first)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pq=st.integers(1, 4).flatmap(lambda n: st.tuples(histogram_spec(n), histogram_spec(n))),
+    command=st.sampled_from(["prd", "frontier", "oracle-check"]),
+    alpha=ALPHA_TEXT,
+    side=st.sampled_from(["exclusive", "inclusive"]),
+    grid_size=st.integers(-2, 64),
+    m=st.integers(-2, 20),
+)
+def test_fuzz_histogram_specs(pq, command, alpha, side, grid_size, m):
+    p, q = pq
+    argv = [command, "--p", "{d}/p.json", "--q", "{d}/q.json", "--grid-size", str(grid_size)]
+    if command != "prd":
+        argv += ["--alpha", alpha, "--side", side]
+    if command == "oracle-check":
+        argv += ["--m", str(m), "--output", "{d}/out/v.json"]
+    else:
+        argv += ["--output", "{d}/out/o.csv"]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "p.json").write_text(json.dumps(p))
+        (d / "q.json").write_text(json.dumps(q))
+        run_cli_twice(d, argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    p=gaussian_spec(),
+    q=gaussian_spec(),
+    command=st.sampled_from(["endpoints", "frontier"]),
+    side=st.sampled_from(["exclusive", "inclusive"]),
+    grid_size=st.integers(-2, 64),
+)
+def test_fuzz_gaussian_specs(p, q, command, side, grid_size):
+    argv = [command, "--p", "{d}/p.json", "--q", "{d}/q.json", "--output", "{d}/out/o.csv"]
+    if command == "frontier":
+        argv += ["--alpha", "1", "--side", side, "--grid-size", str(grid_size)]
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        (d / "p.json").write_text(json.dumps(p))
+        (d / "q.json").write_text(json.dumps(q))
+        run_cli_twice(d, argv)
+
+
+FUZZ_SAMPLES = np.random.default_rng(5).normal(size=(2, 40, 2)) + [[[0.0, 0.0]], [[0.5, 0.0]]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=pipeline_config())
+def test_fuzz_pipeline_configs(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, x in zip(("sp", "sq"), FUZZ_SAMPLES):
+            np.savetxt(d / f"{name}.csv", x, delimiter=",")
+        (d / "cfg.json").write_text(json.dumps(config))
+        argv = ["pipeline", "--p", "{d}/sp.csv", "--q", "{d}/sq.csv", "--config", "{d}/cfg.json", "--output", "{d}/out/run"]
+        run_cli_twice(d, argv)
