@@ -21,6 +21,9 @@ from .errors import ParameterError
 EXCLUSIVE = "exclusive"
 INCLUSIVE = "inclusive"
 _SIDES = (EXCLUSIVE, INCLUSIVE)
+# Largest lambda grid a frontier accepts: a frontier holds a few (grid x n) or
+# (grid x d) float arrays, about 10 MB each at n or d = 128 under this cap.
+MAX_GRID_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,6 +49,11 @@ class PRDCurve:
 def _check_side(side: str) -> None:
     if side not in _SIDES:
         raise ParameterError(f"side must be one of {_SIDES}, got {side!r}")
+
+
+def _check_grid_size(grid_size: int) -> None:
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise ParameterError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
 
 
 def _check_lambda_unit(lam: float) -> None:
@@ -115,9 +123,14 @@ def kl_curve_point(p: Histogram, q: Histogram, side: str, lam: float) -> Histogr
 
 
 def _ratio_domain(p: Histogram, q: Histogram) -> tuple[float, float]:
+    """[min, max] of the finite ratios q_i/p_i over p's support. A ratio
+    overflows only for a subnormal p_i; leaving it out keeps the lambda grid
+    finite, and p's largest entry (>= 1/n) always gives a finite one."""
     pv, qv = p.probs, q.probs
     mask = pv > 0
-    ratios = qv[mask] / pv[mask]
+    with np.errstate(over="ignore"):
+        ratios = qv[mask] / pv[mask]
+    ratios = ratios[np.isfinite(ratios)]
     return float(ratios.min()), float(ratios.max())
 
 
@@ -200,8 +213,7 @@ def frontier(
     """
     _check_side(side)
     check_same_length(p, q)
-    if grid_size < 2:
-        raise ParameterError("grid_size must be >= 2")
+    _check_grid_size(grid_size)
     if alpha.is_zero:
         raise ParameterError(
             "alpha=0 frontiers degenerate to support overlap; use the kNN "
@@ -260,6 +272,7 @@ def prd_reference(p: Histogram, q: Histogram, grid_size: int = 201) -> PRDCurve:
     Serves as the oracle for :func:`prd_from_infinity_frontier`.
     """
     check_same_length(p, q)
+    _check_grid_size(grid_size)
     pv, qv = p.probs, q.probs
     lo, hi = _ratio_domain(p, q)
     lams = _geometric_lambda_grid(lo, hi, grid_size)

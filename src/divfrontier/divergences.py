@@ -1,8 +1,9 @@
 """Closed-form divergence evaluations.
 
 Discrete Renyi divergences of any order (including the 0, 1 and infinity
-limits), Gaussian Renyi/KL in closed form, and exponential-family KL as a
-Bregman divergence of the log-partition function.
+limits), Gaussian Renyi/KL in closed form from one whitened pair as
+per-axis sums, and exponential-family KL as a Bregman divergence of the
+log-partition function.
 
 Conventions: 0^a = 0 for a > 0 and 0*log(0/q) = 0, so zero-mass entries
 never contribute; a support violation is detected explicitly and returns
@@ -110,44 +111,38 @@ def funk_metric(p: Histogram, q: Histogram) -> float:
     return renyi_discrete(p, q, Alpha.infinity())
 
 
-def _chol_logdet(cov: np.ndarray) -> float:
-    chol = np.linalg.cholesky(cov)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+def _whitened_pair(P: GaussianParams, Q: GaussianParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-axis variances t, s and squared mean offset d2 of P and Q in one basis.
+
+    Whitening Sigma_P + Sigma_Q and one eigendecomposition map P to
+    N(a, diag t) and Q to N(b, diag s), with t, s in (0, 1] and
+    d2 = (a - b)^2. Every divergence is invariant under this affine map, so
+    each closed form is a sum over axes. Covariances singular to working
+    precision leave some t or s at or below 0 and raise ParameterError.
+    """
+    check_same_dim(P, Q)
+    chol = np.linalg.cholesky(P.cov + Q.cov)
+    wp, wq = (np.linalg.solve(chol, np.linalg.solve(chol, cov).T) for cov in (P.cov, Q.cov))
+    u = np.linalg.eigh(0.5 * (wp + wp.T))[1]
+    # both Rayleigh quotients, since 1 - t loses a tiny s
+    t, s = (np.einsum("ij,ij->j", u, w @ u) for w in (wp, wq))
+    if not (np.all(t > 0.0) and np.all(s > 0.0)):
+        raise ParameterError("covariances are singular to working precision")
+    with np.errstate(over="ignore"):  # an offset beyond sqrt(float max) makes the divergences inf
+        d2 = (u.T @ np.linalg.solve(chol, P.mean - Q.mean)) ** 2
+    return t, s, d2
+
+
+def _kl_axes(r: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """KL(N(a, diag u) || N(b, diag v)) summed over the last axis, from
+    r = v / u and m = (a - b)^2 / v on each axis."""
+    return 0.5 * (1.0 / r - 1.0 + np.log(r) + m).sum(axis=-1)
 
 
 def kl_gaussian(P: GaussianParams, Q: GaussianParams) -> float:
     """Closed-form KL divergence between multivariate Gaussians."""
-    check_same_dim(P, Q)
-    d = P.dim
-    delta = P.mean - Q.mean
-    chol_q = np.linalg.cholesky(Q.cov)
-    solve = np.linalg.solve
-    # tr(Sigma_Q^-1 Sigma_P) via two triangular solves
-    half = solve(chol_q, P.cov)
-    trace = float(np.trace(solve(chol_q, half.T).T))
-    maha = float(np.sum(solve(chol_q, delta) ** 2))
-    logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
-    logdet_p = _chol_logdet(P.cov)
-    return _clip_nonneg(0.5 * (trace + maha - d + logdet_q - logdet_p))
-
-
-def _gaussian_sup_log_ratio_1d(P: GaussianParams, Q: GaussianParams) -> float:
-    """sup_x log(p(x)/q(x)) for 1-D Gaussians; finite iff var_P < var_Q."""
-    mu_p, var_p = float(P.mean[0]), float(P.cov[0, 0])
-    mu_q, var_q = float(Q.mean[0]), float(Q.cov[0, 0])
-    if var_p > var_q:
-        return INF
-    if var_p == var_q:
-        return 0.0 if mu_p == mu_q else INF
-    # log ratio is a concave quadratic A x^2 + B x + C; maximum C - B^2/(4A)
-    A = 0.5 / var_q - 0.5 / var_p
-    B = mu_p / var_p - mu_q / var_q
-    C = (
-        0.5 * np.log(var_q / var_p)
-        + 0.5 * mu_q**2 / var_q
-        - 0.5 * mu_p**2 / var_p
-    )
-    return _clip_nonneg(float(C - B * B / (4.0 * A)))
+    t, s, d2 = _whitened_pair(P, Q)
+    return _clip_nonneg(float(_kl_axes(s / t, d2 / s)))
 
 
 def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
@@ -157,36 +152,31 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
     ``alpha*Sigma_Q + (1-alpha)*Sigma_P`` must be positive definite;
     otherwise the closed form does not exist and
     :class:`DivergenceUndefinedError` is raised (distinct from +inf).
+    alpha = inf is the supremum of log(p/q), available in 1-D only.
     """
     check_same_dim(P, Q)
     if alpha.is_one:
         return kl_gaussian(P, Q)
     if alpha.is_zero:
         return 0.0  # Gaussians have full support
+    if alpha.is_infinity and P.dim != 1:
+        raise DivergenceUndefinedError("alpha=inf Gaussian divergence is only available in 1-D")
+    t, s, d2 = _whitened_pair(P, Q)
+    r = s / t
     if alpha.is_infinity:
-        if P.dim != 1:
-            raise DivergenceUndefinedError(
-                "alpha=inf Gaussian divergence is only available in 1-D"
-            )
-        return _gaussian_sup_log_ratio_1d(P, Q)
+        # log(p/q) is a quadratic, concave with its vertex at this value iff t < s
+        if t[0] >= s[0]:
+            return 0.0 if t[0] == s[0] and d2[0] == 0.0 else INF
+        return _clip_nonneg(float(0.5 * np.log(r[0]) + d2[0] / (2.0 * (s[0] - t[0]))))
     a = alpha.value
-    sigma_a = a * Q.cov + (1.0 - a) * P.cov
-    try:
-        chol_a = np.linalg.cholesky(sigma_a)
-    except np.linalg.LinAlgError:
+    # the interpolated covariance is diag(t * (1 + a (r - 1))) on these axes
+    k = a * (r - 1.0)
+    if not np.all(k > -1.0):
         raise DivergenceUndefinedError(
-            f"interpolated covariance alpha*Sigma_Q + (1-alpha)*Sigma_P is not "
-            f"positive definite for alpha={a}"
-        ) from None
-    delta = P.mean - Q.mean
-    maha = float(np.sum(np.linalg.solve(chol_a, delta) ** 2))
-    logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
-    logdet_p = _chol_logdet(P.cov)
-    logdet_q = _chol_logdet(Q.cov)
-    value = 0.5 * a * maha - (
-        logdet_a - (1.0 - a) * logdet_p - a * logdet_q
-    ) / (2.0 * (a - 1.0))
-    return _clip_nonneg(value)
+            f"interpolated covariance alpha*Sigma_Q + (1-alpha)*Sigma_P is not positive definite for alpha={a}"
+        )
+    value = np.sum(a * d2 / (2.0 * t * (1.0 + k))) - np.sum(np.log1p(k) - a * np.log(r)) / (2.0 * (a - 1.0))
+    return _clip_nonneg(float(value))
 
 
 def bregman_kl(theta: np.ndarray, theta_prime: np.ndarray, fam: ExpFamilySpec) -> float:

@@ -4,16 +4,18 @@ The exclusive path interpolates linearly in natural coordinates; the
 inclusive path interpolates in moment coordinates and maps back through
 the inverse gradient of the log-partition. Both paths reach theta_P at
 lambda = 1 and theta_Q at lambda = 0 (this orientation is normalized only
-in CSV output, see :mod:`divfrontier.io`). :func:`frontier_kl` evaluates
-a whole Gaussian path in closed form after diagonalising both covariances.
+in CSV output, see :mod:`divfrontier.io`). :func:`frontier_kl` and
+:func:`kl_endpoints` evaluate Gaussians in closed form from one whitened
+pair, as per-axis sums.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, _pareto_filter_triples
-from .distributions import Alpha, GaussianParams, check_same_dim
-from .divergences import ExpFamilySpec, _clip_nonneg, kl_gaussian
+from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_grid_size, _check_side
+from .discrete_frontier import _pareto_filter_triples
+from .distributions import Alpha, GaussianParams
+from .divergences import INF, ExpFamilySpec, _clip_nonneg, _kl_axes, _whitened_pair
 from .errors import ParameterError
 from .expfamily import NaturalParams
 
@@ -53,17 +55,12 @@ def frontier_kl(
     covariance, handled by the determinant lemma and Sherman-Morrison.
     """
     _check_side(side)
-    check_same_dim(P, Q)
-    if grid_size < 2:
-        raise ParameterError("grid_size must be >= 2")
-    chol = np.linalg.cholesky(P.cov + Q.cov)
-    wp, wq = (np.linalg.solve(chol, np.linalg.solve(chol, cov).T) for cov in (P.cov, Q.cov))
-    u = np.linalg.eigh(0.5 * (wp + wp.T))[1]
-    # both Rayleigh quotients, since 1 - t loses a tiny s
-    t, s = (np.einsum("ij,ij->j", u, w @ u) for w in (wp, wq))
-    if not (np.all(t > 0.0) and np.all(s > 0.0)):
-        raise ParameterError("covariances are too ill-conditioned for the KL frontier")
-    d2 = (u.T @ np.linalg.solve(chol, P.mean - Q.mean)) ** 2  # (a - b)^2
+    _check_grid_size(grid_size)
+    t, s, d2 = _whitened_pair(P, Q)
+    if not np.isfinite(d2.sum()):
+        # the squared mean offset overflows, so 0 * inf would make NaN of
+        # the exact ends and the interior losses are out of float range
+        return FrontierCurve(((0.0, INF, 0.0), (1.0, 0.0, INF)), side, Alpha.one())
     lams = np.linspace(0.0, 1.0, grid_size)
     lam, mu = lams[:, None], 1.0 - lams[:, None]
     # KL = (sum over axes of 1/r - 1 + log r + m, plus log k) / 2; each r is
@@ -80,7 +77,7 @@ def frontier_kl(
         log_k = np.log1p(c_s0[:, 0])
 
     def kl(r, m):
-        return map(_clip_nonneg, (0.5 * ((1.0 / r - 1.0 + np.log(r) + m).sum(axis=1) + log_k)).tolist())
+        return map(_clip_nonneg, (_kl_axes(r, m) + 0.5 * log_k).tolist())
 
     triples = list(zip(lams.tolist(), kl(r_p, m_p), kl(r_q, m_q)))
     return FrontierCurve(_pareto_filter_triples(triples), side, Alpha.one())
@@ -93,4 +90,5 @@ def kl_endpoints(P: GaussianParams, Q: GaussianParams) -> tuple[float, float]:
     KL(Q||P) is sensitive to Q placing mass where P has little (precision),
     KL(P||Q) to Q failing to cover P (recall).
     """
-    return kl_gaussian(Q, P), kl_gaussian(P, Q)
+    t, s, d2 = _whitened_pair(P, Q)  # one whitening for both directions
+    return _clip_nonneg(float(_kl_axes(t / s, d2 / t))), _clip_nonneg(float(_kl_axes(s / t, d2 / s)))

@@ -22,10 +22,6 @@ from .errors import ParameterError, ParseError
 from .estimation import PipelineConfig
 
 
-def _encode_number(x: float):
-    return "inf" if math.isinf(x) else float(x)
-
-
 def _number_list(value, field: str, path: Path) -> list[float]:
     """A JSON list of numbers (or "inf") as floats; anything else is a
     ParseError naming the field and the file."""

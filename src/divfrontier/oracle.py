@@ -74,15 +74,13 @@ def brute_force_frontier(
 
 
 def max_dominance_violation(
-    curve_points: list[tuple[float, float]], grid_pairs: np.ndarray
+    curve_points: list[tuple[float, float]] | np.ndarray, grid_pairs: np.ndarray
 ) -> float:
     """Largest margin by which any grid point beats a curve point in both
     coordinates simultaneously (0 if none dominates at all)."""
-    worst = 0.0
-    for cx, cy in curve_points:
-        margins = np.minimum(cx - grid_pairs[:, 0], cy - grid_pairs[:, 1])
-        worst = max(worst, float(margins.max()))
-    return worst
+    C = np.asarray(curve_points, dtype=float).reshape(-1, 2)
+    margins = np.minimum(C[:, None, 0] - grid_pairs[None, :, 0], C[:, None, 1] - grid_pairs[None, :, 1])
+    return float(margins.max(initial=0.0))
 
 
 def hausdorff_linf(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
@@ -111,12 +109,12 @@ def certify_frontier(
     grid = enumerate_simplex(len(p), m)
     pairs = realizable_pairs(p, q, alpha, side, grid)
     oracle_front = pareto_filter(pairs)
-    curve_pairs = [(x, y) for _, x, y in curve.points]
-    finite = [pt for pt in curve_pairs if np.isfinite(pt).all()]
+    curve_pairs = np.asarray(curve.points, dtype=float).reshape(-1, 3)[:, 1:]
+    finite = curve_pairs[np.isfinite(curve_pairs).all(axis=1)]
     # every grid pair the filter drops is strictly beaten in both
     # coordinates by a kept one, so the front gives the same worst margin
-    violation = max_dominance_violation(finite, np.array(oracle_front)) if finite else 0.0
-    hausdorff = hausdorff_linf(finite, oracle_front) if finite else float("inf")
+    violation = max_dominance_violation(finite, np.array(oracle_front))
+    hausdorff = hausdorff_linf(finite, oracle_front) if len(finite) else float("inf")
     return {
         "max_dominance_violation": violation,
         "hausdorff_distance": hausdorff,

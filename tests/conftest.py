@@ -19,6 +19,13 @@ def random_gaussian(rng, d, mean_scale=1.0):
     return GaussianParams(mean, cov)
 
 
+def conditioned_gaussian(rng, d, cond):
+    """Normal mean; covariance eigenvalues log-spaced over [1/cond, 1] in a random basis."""
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    cov = (basis * np.geomspace(1.0, 1.0 / cond, d)) @ basis.T
+    return GaussianParams(rng.standard_normal(d), 0.5 * (cov + cov.T))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

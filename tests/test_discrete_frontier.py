@@ -22,6 +22,7 @@ from divfrontier import (
     renyi_discrete,
 )
 from divfrontier.discrete_frontier import (
+    MAX_GRID_SIZE,
     _check_lambda_unit,
     _check_side,
     _geometric_lambda_grid,
@@ -265,6 +266,29 @@ class TestFrontier:
         ratios = Q.probs / P.probs
         assert min(lams) == pytest.approx(ratios.min())
         assert max(lams) == pytest.approx(ratios.max())
+
+    @pytest.mark.parametrize("grid_size", [1, MAX_GRID_SIZE + 1, 2**32, 2**63])
+    def test_grid_size_outside_the_cap_is_rejected(self, grid_size):
+        # raised before any lambda grid is allocated
+        for alpha, side in ((Alpha.finite(2), EXCLUSIVE), (Alpha.one(), INCLUSIVE), (Alpha.infinity(), EXCLUSIVE)):
+            with pytest.raises(ParameterError, match="grid_size"):
+                frontier(P, Q, alpha, side, grid_size)
+        with pytest.raises(ParameterError, match="grid_size"):
+            prd_reference(P, Q, grid_size)
+
+    def test_grid_size_at_the_cap_runs(self):
+        assert frontier(P, Q, Alpha.one(), EXCLUSIVE, MAX_GRID_SIZE).points
+
+    def test_ratio_overflow_keeps_a_finite_lambda_grid(self):
+        # normalised p_0 = 1e-310 is subnormal, so q_0/p_0 overflows
+        p, q = Histogram([1e-300, 1e10]), Histogram([0.5, 0.5])
+        lo, hi = _ratio_domain(p, q)
+        assert np.isfinite([lo, hi]).all()
+        got = prd_from_infinity_frontier(frontier(p, q, Alpha.infinity(), EXCLUSIVE, 201)).points
+        ref = prd_reference(p, q, 201).points
+        assert len(got) == len(ref)
+        for (a1, b1), (a2, b2) in zip(got, ref):
+            assert abs(a1 - a2) <= 1e-9 and abs(b1 - b2) <= 1e-9
 
 
 class TestPRD:

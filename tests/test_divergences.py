@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,12 +17,13 @@ from divfrontier import (
     gaussian_family,
     gaussian_to_natural,
     kl_discrete,
+    kl_endpoints,
     kl_gaussian,
     renyi_discrete,
     renyi_gaussian,
 )
-from divfrontier.divergences import logsumexp, renyi_rows
-from tests.conftest import random_gaussian, random_histogram
+from divfrontier.divergences import _whitened_pair, logsumexp, renyi_rows
+from tests.conftest import conditioned_gaussian, random_gaussian, random_histogram
 
 INF = float("inf")
 
@@ -451,3 +453,253 @@ class TestRenyiRows:
             for alpha in ROW_ALPHAS:
                 assert renyi_discrete(hp, hq, alpha) == renyi_rows(hp.probs, hq.probs, alpha)[0]
             assert kl_discrete(hp, hq) == renyi_discrete(hp, hq, Alpha.one())
+
+
+# ---------------------------------------------------------------------------
+# Gaussian closed forms against the implementations the whitened pair
+# replaced, and against 50-digit mpmath values
+
+
+def _former_chol_logdet(cov):
+    chol = np.linalg.cholesky(cov)
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+
+
+def former_kl_gaussian(P, Q):
+    """kl_gaussian before the whitened pair: a Cholesky factor of Sigma_Q
+    and triangular solves for the trace and the Mahalanobis term."""
+    d = P.dim
+    delta = P.mean - Q.mean
+    chol_q = np.linalg.cholesky(Q.cov)
+    half = np.linalg.solve(chol_q, P.cov)
+    trace = float(np.trace(np.linalg.solve(chol_q, half.T).T))
+    maha = float(np.sum(np.linalg.solve(chol_q, delta) ** 2))
+    logdet_q = 2.0 * float(np.sum(np.log(np.diag(chol_q))))
+    return _clip_nonneg(0.5 * (trace + maha - d + logdet_q - _former_chol_logdet(P.cov)))
+
+
+def former_sup_log_ratio_1d(P, Q):
+    """1-D D_inf before the whitened pair: the vertex of the log-ratio quadratic."""
+    mu_p, var_p = float(P.mean[0]), float(P.cov[0, 0])
+    mu_q, var_q = float(Q.mean[0]), float(Q.cov[0, 0])
+    if var_p > var_q:
+        return INF
+    if var_p == var_q:
+        return 0.0 if mu_p == mu_q else INF
+    A = 0.5 / var_q - 0.5 / var_p
+    B = mu_p / var_p - mu_q / var_q
+    C = 0.5 * np.log(var_q / var_p) + 0.5 * mu_q**2 / var_q - 0.5 * mu_p**2 / var_p
+    return _clip_nonneg(float(C - B * B / (4.0 * A)))
+
+
+def former_renyi_gaussian(P, Q, alpha):
+    """renyi_gaussian before the whitened pair: a Cholesky factor of the
+    interpolated covariance and three log-determinants."""
+    if alpha.is_one:
+        return former_kl_gaussian(P, Q)
+    if alpha.is_zero:
+        return 0.0
+    if alpha.is_infinity:
+        if P.dim != 1:
+            raise DivergenceUndefinedError("alpha=inf Gaussian divergence is only available in 1-D")
+        return former_sup_log_ratio_1d(P, Q)
+    a = alpha.value
+    try:
+        chol_a = np.linalg.cholesky(a * Q.cov + (1.0 - a) * P.cov)
+    except np.linalg.LinAlgError:
+        raise DivergenceUndefinedError("interpolated covariance is not positive definite") from None
+    maha = float(np.sum(np.linalg.solve(chol_a, P.mean - Q.mean) ** 2))
+    logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol_a))))
+    value = 0.5 * a * maha - (
+        logdet_a - (1.0 - a) * _former_chol_logdet(P.cov) - a * _former_chol_logdet(Q.cov)
+    ) / (2.0 * (a - 1.0))
+    return _clip_nonneg(value)
+
+
+def _mp_cholesky(A):
+    """Lower Cholesky factor of a symmetric mpf matrix (lists of rows), or
+    None where a pivot is not positive, i.e. A is not positive definite."""
+    d = len(A)
+    L = [[mpmath.mpf(0)] * d for _ in range(d)]
+    for j in range(d):
+        row_j = L[j][:j]
+        pivot = A[j][j] - mpmath.fdot(row_j, row_j)
+        if pivot <= 0:
+            return None
+        L[j][j] = mpmath.sqrt(pivot)
+        for i in range(j + 1, d):
+            L[i][j] = (A[i][j] - mpmath.fdot(L[i][:j], row_j)) / L[j][j]
+    return L
+
+
+def _mp_solve_lower(L, b, start=0):
+    """x with L x = b, for b zero above index ``start``."""
+    x = [mpmath.mpf(0)] * len(b)
+    for i in range(start, len(b)):
+        x[i] = (b[i] - mpmath.fdot(L[i][start:i], x[start:i])) / L[i][i]
+    return x
+
+
+def _mp_logdet(L):
+    return 2 * mpmath.fsum(mpmath.log(L[i][i]) for i in range(len(L)))
+
+
+def mp_gaussian_renyi(P, Q, alphas):
+    """D_alpha(P || Q) for each order, in 50-digit arithmetic from the float
+    parameters; None where the interpolated covariance is not positive
+    definite. alpha = inf is for 1-D only."""
+    with mpmath.workdps(50):
+        d = P.dim
+        cp, cq = ([[mpmath.mpf(float(v)) for v in row] for row in g.cov] for g in (P, Q))
+        delta = [mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(P.mean, Q.mean)]
+        lp, lq = _mp_cholesky(cp), _mp_cholesky(cq)
+        logdet_p, logdet_q = _mp_logdet(lp), _mp_logdet(lq)
+        out = []
+        for alpha in alphas:
+            if alpha.is_zero:
+                out.append(mpmath.mpf(0))
+            elif alpha.is_infinity:
+                vp, vq = cp[0][0], cq[0][0]
+                if vp >= vq:
+                    out.append(mpmath.mpf(0) if vp == vq and delta[0] == 0 else mpmath.inf)
+                else:
+                    out.append(mpmath.log(vq / vp) / 2 + delta[0] ** 2 / (2 * (vq - vp)))
+            elif alpha.is_one:
+                # tr(Sigma_Q^-1 Sigma_P) = |L_Q^-1 L_P|_F^2, column by column
+                trace = mpmath.fsum(
+                    mpmath.fsum(x**2 for x in _mp_solve_lower(lq, [lp[i][k] for i in range(d)], k))
+                    for k in range(d)
+                )
+                maha = mpmath.fsum(x**2 for x in _mp_solve_lower(lq, delta))
+                out.append((trace + maha - d + logdet_q - logdet_p) / 2)
+            else:
+                a = mpmath.mpf(alpha.value)
+                la = _mp_cholesky([[a * x + (1 - a) * y for x, y in zip(rq, rp)] for rq, rp in zip(cq, cp)])
+                if la is None:
+                    out.append(None)
+                    continue
+                maha = mpmath.fsum(x**2 for x in _mp_solve_lower(la, delta))
+                out.append(a * maha / 2 - (_mp_logdet(la) - (1 - a) * logdet_p - a * logdet_q) / (2 * (a - 1)))
+        return out
+
+
+def gaussian_equivalence_pair(d, kind):
+    """(P, Q, cond) for one fixture: random pairs at three conditionings,
+    a shared covariance, Sigma_Q a multiple of Sigma_P (on either side of
+    alpha = 2's definedness edge, 1 + 2 (r - 1) > 0), one Gaussian twice,
+    and 1-D variances one ulp apart."""
+    rng = np.random.default_rng([d, len(kind)])
+    if kind == "equal-cov":
+        P = conditioned_gaussian(rng, d, 1e4)
+        return P, GaussianParams(P.mean + 1.0, P.cov), 1e4
+    if kind.startswith("scaled"):
+        P = conditioned_gaussian(rng, d, 1e4)
+        return P, GaussianParams(P.mean + 0.5, float(kind[6:]) * P.cov), 1e4
+    if kind == "identical":
+        P = conditioned_gaussian(rng, d, 1e4)
+        return P, P, 1e4
+    if kind.startswith("ulp"):
+        shift = 0.0 if kind == "ulp" else 1.0
+        return GaussianParams([0.0], [[0.3]]), GaussianParams([shift], [[np.nextafter(0.3, 1.0)]]), 1.0
+    cond = float(kind[4:])
+    return conditioned_gaussian(rng, d, cond), conditioned_gaussian(rng, d, cond), cond
+
+
+GAUSSIAN_EQUIVALENCE_CASES = [(d, f"cond{c}") for d in (1, 2, 8, 64, 128) for c in ("1", "1e4", "1e8")] + [
+    (2, "equal-cov"),
+    (64, "equal-cov"),
+    (1, "scaled0.45"),
+    (8, "scaled0.45"),
+    (1, "scaled0.55"),
+    (8, "scaled2.2"),
+    (8, "identical"),
+    (64, "identical"),
+    (1, "ulp"),
+    (1, "ulp-shift"),
+]
+# 50-digit Cholesky factors take ~4 s per d = 128 fixture, so only the worst
+# conditioned one runs there, and only d <= 8 runs in both directions
+MPMATH_CASES = [c for c in GAUSSIAN_EQUIVALENCE_CASES if c[0] < 128 or c[1] == "cond1e8"]
+GAUSSIAN_ALPHAS = [Alpha.parse(a) for a in ("1e-3", "0.5", "1", "2", "1e4", "inf", "0")]
+
+
+def _outcome(fn, *args):
+    """A call's result, or the type of the error it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared, not swallowed: both sides must raise alike
+        return type(exc)
+
+
+def _within(got, want, P, Q, alpha, rtol, cond=1.0):
+    """|got - want| <= tol * max(1, |want|), values near 0 being differences
+    of O(1) terms. tol is rtol plus what rounding the inputs by eps moves the
+    exact value: about alpha * d * eps for D_alpha, where alpha amplifies a
+    change in either covariance, and eps (var_P + var_Q) / |var_Q - var_P|
+    for 1-D D_inf, which divides by the variance gap. For alpha > 1 the
+    former code formed alpha*Sigma_Q + (1-alpha)*Sigma_P, cancelling terms
+    alpha times its size, and its inverse multiplies that rounding by up to
+    the condition number ``cond``."""
+    eps = np.finfo(float).eps
+    if alpha.is_infinity:
+        vp, vq = P.cov[0, 0], Q.cov[0, 0]
+        tol = rtol + (eps * (vp + vq) / abs(vq - vp) if vp != vq else 0.0)
+    else:
+        a = alpha.value if alpha.is_finite else 1.0
+        tol = rtol + 4 * P.dim * eps * a * (cond if a > 1 else 1.0)
+    return abs(got - want) <= tol * max(1, abs(want))
+
+
+class TestGaussianWhitenedEquivalence:
+    @pytest.mark.parametrize("d,kind", GAUSSIAN_EQUIVALENCE_CASES)
+    def test_matches_the_former_closed_forms(self, d, kind):
+        P, Q, cond = gaussian_equivalence_pair(d, kind)
+        rtol = 1e-12 if cond <= 1e4 else 1e-7
+        for A, B in ((P, Q), (Q, P)):
+            for alpha in GAUSSIAN_ALPHAS:
+                got, want = _outcome(renyi_gaussian, A, B, alpha), _outcome(former_renyi_gaussian, A, B, alpha)
+                if isinstance(want, type) or want == INF:
+                    assert got == want, str(alpha)
+                else:
+                    assert _within(got, want, A, B, alpha, rtol, cond), (str(alpha), got, want)
+            assert kl_gaussian(A, B) == renyi_gaussian(A, B, Alpha.one())
+        # one whitening serves both directions
+        for got, (A, B) in zip(kl_endpoints(P, Q), ((Q, P), (P, Q))):
+            assert _within(got, former_kl_gaussian(A, B), A, B, Alpha.one(), rtol, cond)
+
+    @pytest.mark.parametrize("d,kind", MPMATH_CASES)
+    def test_matches_mpmath(self, d, kind):
+        P, Q, cond = gaussian_equivalence_pair(d, kind)
+        rtol = 1e-12 if cond <= 1e4 else 1e-8
+        alphas = [a for a in GAUSSIAN_ALPHAS if d == 1 or not a.is_infinity]
+        for A, B in ((P, Q), (Q, P)) if d <= 8 else ((P, Q),):
+            for alpha, want in zip(alphas, mp_gaussian_renyi(A, B, alphas)):
+                got = _outcome(renyi_gaussian, A, B, alpha)
+                if want is None:
+                    assert got is DivergenceUndefinedError, str(alpha)
+                elif want == mpmath.inf:
+                    assert got == INF, str(alpha)
+                else:
+                    assert _within(got, float(want), A, B, alpha, rtol), (str(alpha), got, float(want))
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_identical_inputs_give_exact_zero(self, d):
+        P = gaussian_equivalence_pair(d, "identical")[0]
+        assert kl_endpoints(P, P) == (0.0, 0.0)
+        for alpha in GAUSSIAN_ALPHAS:
+            if d == 1 or not alpha.is_infinity:
+                assert renyi_gaussian(P, P, alpha) == 0.0, str(alpha)
+
+    @pytest.mark.parametrize("d,kind", GAUSSIAN_EQUIVALENCE_CASES)
+    def test_whitened_pair_is_the_former_frontier_kl_whitening(self, d, kind):
+        # frontier_kl's lambda-grid arithmetic is unchanged (it now halves
+        # each term of a sum before adding, which is exact), so equal bits
+        # here give the same curve points
+        P, Q, _ = gaussian_equivalence_pair(d, kind)
+        chol = np.linalg.cholesky(P.cov + Q.cov)
+        wp, wq = (np.linalg.solve(chol, np.linalg.solve(chol, cov).T) for cov in (P.cov, Q.cov))
+        u = np.linalg.eigh(0.5 * (wp + wp.T))[1]
+        t, s = (np.einsum("ij,ij->j", u, w @ u) for w in (wp, wq))
+        d2 = (u.T @ np.linalg.solve(chol, P.mean - Q.mean)) ** 2
+        got = _whitened_pair(P, Q)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in (t, s, d2)]

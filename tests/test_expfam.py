@@ -23,8 +23,8 @@ from divfrontier import (
     natural_to_moment,
     renyi_gaussian,
 )
-from divfrontier.discrete_frontier import _pareto_filter_triples
-from tests.conftest import random_gaussian
+from divfrontier.discrete_frontier import MAX_GRID_SIZE, _pareto_filter_triples
+from tests.conftest import conditioned_gaussian, random_gaussian
 
 
 class TestParameterMaps:
@@ -205,13 +205,6 @@ def frontier_kl_loop(P, Q, side, grid_size):
     return _pareto_filter_triples(triples)
 
 
-def conditioned_gaussian(rng, d, cond):
-    """Normal mean; covariance eigenvalues log-spaced over [1/cond, 1] in a random basis."""
-    basis = np.linalg.qr(rng.standard_normal((d, d)))[0]
-    cov = (basis * np.geomspace(1.0, 1.0 / cond, d)) @ basis.T
-    return GaussianParams(rng.standard_normal(d), 0.5 * (cov + cov.T))
-
-
 def equivalence_pair(d, kind):
     """(P, Q, rtol) for one fixture of the closed-form equivalence test."""
     rng = np.random.default_rng(EQUIVALENCE_CASES.index((d, kind)))
@@ -284,6 +277,21 @@ class TestFrontierKLClosedForm:
         assert y1 == pytest.approx(want1, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_overflowing_mean_offset_gives_the_two_ends(self, d, side):
+        # the whitened offset is finite, its square is not
+        P, Q = GaussianParams(np.full(d, 1e160), np.eye(d)), GaussianParams(np.full(d, -1e160), np.eye(d))
+        inf = float("inf")
+        assert frontier_kl(P, Q, side, 21).points == ((0.0, inf, 0.0), (1.0, 0.0, inf))
+        assert kl_endpoints(P, Q) == (inf, inf)
+
+    def test_grid_size_outside_the_cap_is_rejected(self):
+        g = GaussianParams([0.0], [[1.0]])
+        for grid_size in (1, MAX_GRID_SIZE + 1, 2**63):
+            with pytest.raises(ParameterError, match="grid_size"):
+                frontier_kl(g, g, EXCLUSIVE, grid_size)
+
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
     def test_near_singular_covariances_give_valid_points_or_parameter_error(self, side, rng):
         # eigenvalues down to 1e-19 pass GaussianParams' Cholesky check but
         # can leave a whitened variance at or below 0 after rounding
@@ -297,11 +305,19 @@ class TestFrontierKLClosedForm:
                 P, Q = (GaussianParams(rng.standard_normal(3), cov) for cov in covs)
             except ParameterError:
                 continue
-            try:
-                points = np.asarray(frontier_kl(P, Q, side, 11).points)
-            except ParameterError:
-                continue
-            assert np.all(np.isfinite(points)) and np.all(points[:, 1:] >= 0.0)
+            # the closed forms share frontier_kl's whitening and its check
+            results = {
+                "frontier_kl": lambda: np.asarray(frontier_kl(P, Q, side, 11).points),
+                "kl_gaussian": lambda: kl_gaussian(P, Q),
+                "renyi_gaussian": lambda: renyi_gaussian(P, Q, Alpha.finite(0.5)),
+                "kl_endpoints": lambda: kl_endpoints(P, Q),
+            }
+            for name, result in results.items():
+                try:
+                    values = np.asarray(result())
+                except ParameterError:
+                    continue
+                assert np.all(np.isfinite(values)) and np.all(values >= 0.0), name
 
 
 class TestBregmanDuality:

@@ -471,6 +471,28 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, case):
     assert str(tmp_path) in proc.stderr
 
 
+# each entry point of grid_size, with a value past the cap: 2**32 points
+# would allocate 32 GiB per lambda-grid array
+OVERSIZED_GRIDS = {
+    "frontier": ("frontier", "--p", "{d}/h.json", "--q", "{d}/h.json", "--alpha", "2", "--grid-size", "4294967296"),
+    "frontier-kl": ("frontier", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--alpha", "1", "--grid-size", "4294967296"),
+    "prd": ("prd", "--p", "{d}/h.json", "--q", "{d}/h.json", "--grid-size", "4294967296"),
+    "oracle-check": ("oracle-check", "--p", "{d}/h.json", "--q", "{d}/h.json", "--alpha", "2", "--grid-size", "4294967296"),
+    "pipeline": ("pipeline", "--p", "{d}/ok.csv", "--q", "{d}/ok.csv", "--config", "{d}/cfg.json"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERSIZED_GRIDS))
+def test_grid_size_beyond_the_cap_exits_1(tmp_path, case, caplog):
+    write(tmp_path / "ok.csv", "0.0,1.0\n1.0,0.5\n2.0,2.0\n0.5,1.5\n3.0,0.0\n")
+    write(tmp_path / "h.json", '{"type": "histogram", "probs": [0.5, 0.5]}')
+    write(tmp_path / "cfg.json", '{"k_clusters": 2, "knn_k": 1, "grid_size": 4294967296.0}')
+    out = tmp_path / "out"
+    assert main([a.format(d=tmp_path) for a in OVERSIZED_GRIDS[case]] + ["--output", str(out)]) == 1
+    assert "grid_size must be in [2, " in caplog.text
+    assert not out.exists()
+
+
 # each command with an --output it cannot write: a missing parent directory,
 # a directory where a file goes, or a file where the pipeline's directory goes
 UNWRITABLE_OUTPUTS = {
@@ -531,11 +553,14 @@ def test_gaussian_frontier_loads_no_scipy():
 
 # CLI fuzz: generated specs and configs through main, in process. Half the
 # draws are well formed; the other half have one field replaced by junk.
-# Junk for integer fields is negatives, bools, non-integral floats and
-# strings. Sizes are capped (grid_size <= 64, m <= 20, 40-row sample CSVs)
-# only to bound the run time, so integer junk stays integral only up to 64.
+# Junk for integer fields is negatives, integers and integral floats up to
+# 2**63, bools, non-integral floats and strings. Valid sizes are capped
+# (grid_size <= 64, m <= 20, 40-row sample CSVs) only to bound the run time.
+BIG_INTEGERS = st.integers(65, 2**63)
 INTEGER_JUNK = st.one_of(
     st.integers(-3, 64),
+    BIG_INTEGERS,
+    BIG_INTEGERS.map(float),
     st.booleans(),
     st.floats(-3.0, 64.0).filter(lambda x: not x.is_integer()),
     st.sampled_from(["7", "abc", ""]),
@@ -571,7 +596,7 @@ def histogram_spec(n: int):
 @st.composite
 def _gaussian(draw):
     d = draw(st.integers(1, 3))
-    mean = draw(st.lists(st.floats(-10.0, 10.0), min_size=d, max_size=d))
+    mean = draw(st.lists(st.one_of(st.floats(-10.0, 10.0), st.floats(-1e300, 1e300)), min_size=d, max_size=d))
     diagonal = draw(st.lists(st.floats(0.1, 10.0), min_size=d, max_size=d))
     off = draw(st.floats(-0.03, 0.03))
     cov = [[diagonal[i] if i == j else off for j in range(d)] for i in range(d)]
@@ -621,7 +646,7 @@ def run_cli_twice(d: Path, argv: list[str]) -> None:
     command=st.sampled_from(["prd", "frontier", "oracle-check"]),
     alpha=ALPHA_TEXT,
     side=st.sampled_from(["exclusive", "inclusive"]),
-    grid_size=st.integers(-2, 64),
+    grid_size=st.one_of(st.integers(-2, 64), BIG_INTEGERS),
     m=st.integers(-2, 20),
 )
 def test_fuzz_histogram_specs(pq, command, alpha, side, grid_size, m):
@@ -646,7 +671,7 @@ def test_fuzz_histogram_specs(pq, command, alpha, side, grid_size, m):
     q=gaussian_spec(),
     command=st.sampled_from(["endpoints", "frontier"]),
     side=st.sampled_from(["exclusive", "inclusive"]),
-    grid_size=st.integers(-2, 64),
+    grid_size=st.one_of(st.integers(-2, 64), BIG_INTEGERS),
 )
 def test_fuzz_gaussian_specs(p, q, command, side, grid_size):
     argv = [command, "--p", "{d}/p.json", "--q", "{d}/q.json", "--output", "{d}/out/o.csv"]

@@ -149,6 +149,9 @@ class TestDominanceAndHausdorff:
         pairs = np.array([[1.0, 1.0], [2.0, 0.5]])
         assert max_dominance_violation([(0.5, 0.5)], pairs) == 0.0
 
+    def test_no_curve_points_no_violation(self):
+        assert max_dominance_violation([], np.array([[0.2, 0.3]])) == 0.0
+
     def test_violation_margin(self):
         pairs = np.array([[0.2, 0.3]])
         # grid point beats (1.0, 0.5) by min(0.8, 0.2) = 0.2
@@ -159,6 +162,15 @@ class TestDominanceAndHausdorff:
         b = [(0.0, 0.5), (1.0, 1.0)]
         assert hausdorff_linf(a, b) == pytest.approx(0.5)
         assert hausdorff_linf(a, a) == 0.0
+
+
+def former_max_dominance_violation(curve_points, grid_pairs):
+    """max_dominance_violation before the broadcast: one pass per curve point."""
+    worst = 0.0
+    for cx, cy in curve_points:
+        margins = np.minimum(cx - grid_pairs[:, 0], cy - grid_pairs[:, 1])
+        worst = max(worst, float(margins.max()))
+    return worst
 
 
 class TestDominanceAgainstTheFront:
@@ -180,6 +192,7 @@ class TestDominanceAgainstTheFront:
                     )
                     pts = [(x, y) for _, x, y in moved.points if np.isfinite(x) and np.isfinite(y)]
                     want = max_dominance_violation(pts, pairs)
+                    assert want == former_max_dominance_violation(pts, pairs)
                     assert max_dominance_violation(pts, front) == want
                     verdict = certify_frontier(p, q, alpha, side, moved, m=12)
                     assert verdict["max_dominance_violation"] == want
