@@ -3,7 +3,8 @@
 Every command writes its results to files (never to stdout) together with
 a ``<output>.manifest.json`` recording the effective configuration, so runs
 are reproducible byte for byte given the same inputs and seed. Defaults
-applied for unset parameters are logged to stderr.
+applied for unset parameters are logged to stderr. A command computes all
+its results before it writes the first file, so a failing one writes none.
 
 Exit codes: 0 success, 1 invalid parameters, 2 parse error,
 3 dimension mismatch, 4 divergence undefined.
@@ -12,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, frontier, prd_from_infinity_frontier
@@ -32,6 +33,7 @@ from .estimation import PipelineConfig, evaluate_pipeline, fit_gaussian, knn_sup
 from .expfam_frontier import frontier_kl, kl_endpoints
 from .io import (
     distribution_to_json,
+    json_text,
     load_distribution,
     load_pipeline_config,
     load_samples_csv,
@@ -51,135 +53,111 @@ DEFAULTS = {
     "side": EXCLUSIVE,
     "m": 60,
 }
+# the optional flags, by destination; main fills an unset one from DEFAULTS
+OPTIONS = {
+    "side": {"choices": [EXCLUSIVE, INCLUSIVE]},
+    "grid_size": {"type": int},
+    "ridge": {"type": float},
+    "knn_k": {"type": int},
+    "m": {"type": int, "help": "simplex grid denominator"},
+}
 
 
-def _resolve(args: argparse.Namespace, name: str):
-    value = getattr(args, name, None)
-    if value is None:
-        value = DEFAULTS[name]
-        log.info("using default %s=%s", name, value)
-    return value
+@contextmanager
+def _manifest(args, config: dict, output=None):
+    """Around a command's writes: record the command, version and effective
+    config in <output>.manifest.json once they succeed; output is --output
+    unless given. The manifest is encoded before the first write, so a config
+    value that JSON cannot hold fails the command before it writes a file."""
+    text = json_text({"command": args.command, "version": __version__, "config": config})
+    yield
+    Path(f"{args.output if output is None else output}.manifest.json").write_text(text)
 
 
-def _write_manifest(output: Path, command: str, config: dict) -> None:
-    write_json(
-        {"command": command, "version": __version__, "config": config},
-        Path(str(output) + ".manifest.json"),
-    )
+def _load_inputs(args, fit: bool = False) -> tuple[Histogram | GaussianParams, Histogram | GaussianParams]:
+    """--p and --q, each read once as a distribution spec. With fit, a path
+    not ending in .json is a samples CSV, fitted with --ridge only after each
+    spec is checked to be a Gaussian (unless both are histograms)."""
+    paths = (args.p, args.q)
+    dists = [None if fit and not path.endswith(".json") else load_distribution(path) for path in paths]
+    if fit and not all(isinstance(d, Histogram) for d in dists):
+        for path, dist in zip(paths, dists):
+            if isinstance(dist, Histogram):
+                raise ParameterError(f"{path}: expected a gaussian spec")
+        dists = [fit_gaussian(load_samples_csv(path), args.ridge) if d is None else d for path, d in zip(paths, dists)]
+    return tuple(dists)
 
 
-def _load_gaussian_input(path: str, ridge: float) -> GaussianParams:
-    """A Gaussian from either a JSON spec or a samples CSV (fitted)."""
-    if path.endswith(".json"):
-        dist = load_distribution(path)
-        if not isinstance(dist, GaussianParams):
-            raise ParameterError(f"{path}: expected a gaussian spec")
-        return dist
-    return fit_gaussian(load_samples_csv(path), ridge)
+def _load_histograms(args) -> tuple[Histogram, Histogram]:
+    p, q = _load_inputs(args)
+    if not (isinstance(p, Histogram) and isinstance(q, Histogram)):
+        raise ParameterError(f"{args.command} requires histogram specs")
+    return p, q
 
 
 def _cmd_fit(args) -> None:
-    ridge = _resolve(args, "ridge")
-    g = fit_gaussian(load_samples_csv(args.samples), ridge)
-    out = Path(args.output)
-    write_json(distribution_to_json(g), out)
-    _write_manifest(out, "fit", {"samples": args.samples, "ridge": ridge})
+    g = fit_gaussian(load_samples_csv(args.samples), args.ridge)
+    with _manifest(args, {"samples": args.samples, "ridge": args.ridge}):
+        write_json(distribution_to_json(g), args.output)
 
 
 def _cmd_frontier(args) -> None:
-    grid_size = _resolve(args, "grid_size")
-    side = _resolve(args, "side")
-    ridge = _resolve(args, "ridge")
     alphas = [Alpha.parse(a) for a in args.alpha]
     if not alphas:
         raise ParameterError("at least one --alpha is required")
-    p = load_distribution(args.p) if args.p.endswith(".json") else None
-    q = load_distribution(args.q) if args.q.endswith(".json") else None
+    p, q = _load_inputs(args, fit=True)
+    discrete = isinstance(p, Histogram) and isinstance(q, Histogram)
+    if discrete:
+        curves = [frontier(p, q, alpha, args.side, args.grid_size) for alpha in alphas]
+    else:
+        if not all(alpha.is_one for alpha in alphas):
+            raise ParameterError("continuous frontiers are only available at alpha=1 (KL)")
+        curves = [frontier_kl(p, q, args.side, args.grid_size)] * len(alphas)
     out = Path(args.output)
-    written = []
-    for alpha in alphas:
-        if isinstance(p, Histogram) and isinstance(q, Histogram):
-            curve = frontier(p, q, alpha, side, grid_size)
-            flip = False
-        else:
-            gp = p if isinstance(p, GaussianParams) else _load_gaussian_input(args.p, ridge)
-            gq = q if isinstance(q, GaussianParams) else _load_gaussian_input(args.q, ridge)
-            if not alpha.is_one:
-                raise ParameterError(
-                    "continuous frontiers are only available at alpha=1 (KL)"
-                )
-            curve = frontier_kl(gp, gq, side, grid_size)
-            flip = True
-        path = out if len(alphas) == 1 else out.with_name(f"{out.stem}_alpha{alpha}{out.suffix}")
-        write_frontier_csv(curve, path, flip_lambda=flip)
-        written.append(str(path))
-    _write_manifest(
-        out,
-        "frontier",
-        {
-            "p": args.p,
-            "q": args.q,
-            "alphas": [str(a) for a in alphas],
-            "side": side,
-            "grid_size": grid_size,
-            "outputs": written,
-        },
-    )
+    paths = [out] if len(alphas) == 1 else [out.with_name(f"{out.stem}_alpha{a}{out.suffix}") for a in alphas]
+    config = {
+        "p": args.p,
+        "q": args.q,
+        "alphas": [str(a) for a in alphas],
+        "side": args.side,
+        "grid_size": args.grid_size,
+        "outputs": [str(path) for path in paths],
+    }
+    with _manifest(args, config):
+        for curve, path in zip(curves, paths):
+            write_frontier_csv(curve, path, flip_lambda=not discrete)
 
 
 def _cmd_prd(args) -> None:
-    grid_size = _resolve(args, "grid_size")
-    p = load_distribution(args.p)
-    q = load_distribution(args.q)
-    if not (isinstance(p, Histogram) and isinstance(q, Histogram)):
-        raise ParameterError("prd requires histogram specs")
-    curve = frontier(p, q, Alpha.infinity(), EXCLUSIVE, grid_size)
-    prd = prd_from_infinity_frontier(curve)
-    out = Path(args.output)
-    write_prd_csv(prd, out)
-    _write_manifest(out, "prd", {"p": args.p, "q": args.q, "grid_size": grid_size})
+    p, q = _load_histograms(args)
+    prd = prd_from_infinity_frontier(frontier(p, q, Alpha.infinity(), EXCLUSIVE, args.grid_size))
+    with _manifest(args, {"p": args.p, "q": args.q, "grid_size": args.grid_size}):
+        write_prd_csv(prd, args.output)
 
 
 def _cmd_endpoints(args) -> None:
-    ridge = _resolve(args, "ridge")
-    gp = _load_gaussian_input(args.p, ridge)
-    gq = _load_gaussian_input(args.q, ridge)
-    precision_loss, recall_loss = kl_endpoints(gp, gq)
-    out = Path(args.output)
-    out.write_text(
-        "precision_loss,recall_loss\n" + f"{precision_loss!r},{recall_loss!r}\n"
-    )
-    _write_manifest(out, "endpoints", {"p": args.p, "q": args.q, "ridge": ridge})
+    p, q = _load_inputs(args, fit=True)
+    if isinstance(p, Histogram):  # then both are
+        raise ParameterError(f"{args.p}: expected a gaussian spec")
+    precision_loss, recall_loss = kl_endpoints(p, q)
+    with _manifest(args, {"p": args.p, "q": args.q, "ridge": args.ridge}):
+        Path(args.output).write_text("precision_loss,recall_loss\n" + f"{precision_loss!r},{recall_loss!r}\n")
 
 
 def _cmd_knn(args) -> None:
-    knn_k = _resolve(args, "knn_k")
-    sp = load_samples_csv(args.p)
-    sq = load_samples_csv(args.q)
-    precision, recall = knn_support_metrics(sp, sq, knn_k)
-    out = Path(args.output)
-    write_json({"precision": precision, "recall": recall, "k": knn_k}, out)
-    _write_manifest(out, "knn", {"p": args.p, "q": args.q, "knn_k": knn_k})
+    precision, recall = knn_support_metrics(load_samples_csv(args.p), load_samples_csv(args.q), args.knn_k)
+    with _manifest(args, {"p": args.p, "q": args.q, "knn_k": args.knn_k}):
+        write_json({"precision": precision, "recall": recall, "k": args.knn_k}, args.output)
 
 
 def _cmd_oracle_check(args) -> None:
-    grid_size = _resolve(args, "grid_size")
-    side = _resolve(args, "side")
-    m = _resolve(args, "m")
     alpha = Alpha.parse(args.alpha)
-    p = load_distribution(args.p)
-    q = load_distribution(args.q)
-    if not (isinstance(p, Histogram) and isinstance(q, Histogram)):
-        raise ParameterError("oracle-check requires histogram specs")
-    curve = frontier(p, q, alpha, side, grid_size)
-    verdict = certify_frontier(p, q, alpha, side, curve, m=m)
-    out = Path(args.output)
-    write_json(verdict, out)
-    _write_manifest(
-        out,
-        "oracle-check",
-        {"p": args.p, "q": args.q, "alpha": str(alpha), "side": side, "m": m, "grid_size": grid_size},
-    )
+    p, q = _load_histograms(args)
+    curve = frontier(p, q, alpha, args.side, args.grid_size)
+    verdict = certify_frontier(p, q, alpha, args.side, curve, m=args.m)
+    config = {"p": args.p, "q": args.q, "alpha": str(alpha), "side": args.side, "m": args.m, "grid_size": args.grid_size}
+    with _manifest(args, config):
+        write_json(verdict, args.output)
 
 
 def _cmd_pipeline(args) -> None:
@@ -188,16 +166,8 @@ def _cmd_pipeline(args) -> None:
     else:
         config = PipelineConfig()
         log.info("using default pipeline config %s", config)
-    sp = load_samples_csv(args.p)
-    sq = load_samples_csv(args.q)
-    report = evaluate_pipeline(sp, sq, config)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    write_frontier_csv(report.kl_frontier, outdir / "kl_frontier.csv", flip_lambda=True)
-    for name, curve in report.discrete_frontiers.items():
-        write_frontier_csv(curve, outdir / f"frontier_alpha{name}.csv")
-    write_prd_csv(report.prd, outdir / "prd.csv")
-    write_json(
+    report = evaluate_pipeline(load_samples_csv(args.p), load_samples_csv(args.q), config)
+    report_text = json_text(
         {
             "gaussian_p": distribution_to_json(report.gaussian_p),
             "gaussian_q": distribution_to_json(report.gaussian_q),
@@ -207,12 +177,18 @@ def _cmd_pipeline(args) -> None:
             "histogram_q": [float(v) for v in report.histogram_q.probs],
             "knn_precision": report.knn_precision,
             "knn_recall": report.knn_recall,
-        },
-        outdir / "report.json",
+        }
     )
     cfg = asdict(config)
     cfg["alphas"] = [str(a) for a in config.alphas]
-    _write_manifest(outdir / "report.json", "pipeline", {"p": args.p, "q": args.q, **cfg})
+    outdir = Path(args.output)
+    with _manifest(args, {"p": args.p, "q": args.q, **cfg}, outdir / "report.json"):
+        outdir.mkdir(parents=True, exist_ok=True)
+        write_frontier_csv(report.kl_frontier, outdir / "kl_frontier.csv", flip_lambda=True)
+        for name, curve in report.discrete_frontiers.items():
+            write_frontier_csv(curve, outdir / f"frontier_alpha{name}.csv")
+        write_prd_csv(report.prd, outdir / "prd.csv")
+        (outdir / "report.json").write_text(report_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,68 +198,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--p", required=True, help="distribution JSON, or samples CSV where the command takes one")
+    inputs.add_argument("--q", required=True, help="in the same form as --p")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", required=True, help="output file; for pipeline, a directory")
 
-    fit = sub.add_parser("fit", help="fit a Gaussian to sample embeddings")
-    fit.add_argument("--samples", required=True)
-    fit.add_argument("--ridge", type=float)
-    fit.add_argument("--output", required=True)
-    fit.set_defaults(func=_cmd_fit)
+    def command(name, func, summary, options=(), parents=(inputs,)):
+        cmd = sub.add_parser(name, help=summary, parents=[*parents, output])
+        for dest in options:
+            cmd.add_argument("--" + dest.replace("_", "-"), dest=dest, **OPTIONS[dest])
+        cmd.set_defaults(func=func)
+        return cmd
 
-    fr = sub.add_parser("frontier", help="compute a divergence frontier CSV")
-    fr.add_argument("--p", required=True, help="distribution JSON or samples CSV")
-    fr.add_argument("--q", required=True)
-    fr.add_argument("--alpha", action="append", default=[], help="0, 1, inf or a positive decimal; repeatable")
-    fr.add_argument("--side", choices=[EXCLUSIVE, INCLUSIVE])
-    fr.add_argument("--grid-size", dest="grid_size", type=int)
-    fr.add_argument("--ridge", type=float)
-    fr.add_argument("--output", required=True)
-    fr.set_defaults(func=_cmd_frontier)
-
-    prd = sub.add_parser("prd", help="precision-recall curve from histogram specs")
-    prd.add_argument("--p", required=True)
-    prd.add_argument("--q", required=True)
-    prd.add_argument("--grid-size", dest="grid_size", type=int)
-    prd.add_argument("--output", required=True)
-    prd.set_defaults(func=_cmd_prd)
-
-    ep = sub.add_parser("endpoints", help="KL frontier endpoints (precision/recall losses)")
-    ep.add_argument("--p", required=True, help="gaussian JSON or samples CSV")
-    ep.add_argument("--q", required=True)
-    ep.add_argument("--ridge", type=float)
-    ep.add_argument("--output", required=True)
-    ep.set_defaults(func=_cmd_endpoints)
-
-    knn = sub.add_parser("knn", help="kNN support-overlap precision/recall")
-    knn.add_argument("--p", required=True)
-    knn.add_argument("--q", required=True)
-    knn.add_argument("--knn-k", dest="knn_k", type=int)
-    knn.add_argument("--output", required=True)
-    knn.set_defaults(func=_cmd_knn)
-
-    oc = sub.add_parser("oracle-check", help="certify a frontier against the simplex grid")
-    oc.add_argument("--p", required=True)
-    oc.add_argument("--q", required=True)
-    oc.add_argument("--alpha", required=True)
-    oc.add_argument("--side", choices=[EXCLUSIVE, INCLUSIVE])
-    oc.add_argument("--grid-size", dest="grid_size", type=int)
-    oc.add_argument("--m", type=int, help="simplex grid denominator")
-    oc.add_argument("--output", required=True)
-    oc.set_defaults(func=_cmd_oracle_check)
-
-    pipe = sub.add_parser("pipeline", help="full evaluation from two sample CSVs")
-    pipe.add_argument("--p", required=True)
-    pipe.add_argument("--q", required=True)
-    pipe.add_argument("--config", help="pipeline config JSON")
-    pipe.add_argument("--output", required=True, help="output directory")
-    pipe.set_defaults(func=_cmd_pipeline)
-
+    command("fit", _cmd_fit, "fit a Gaussian to sample embeddings", ["ridge"], parents=()).add_argument(
+        "--samples", required=True
+    )
+    command(
+        "frontier", _cmd_frontier, "compute a divergence frontier CSV", ["side", "grid_size", "ridge"]
+    ).add_argument("--alpha", action="append", default=[], help="0, 1, inf or a positive decimal; repeatable")
+    command("prd", _cmd_prd, "precision-recall curve from histogram specs", ["grid_size"])
+    command("endpoints", _cmd_endpoints, "KL frontier endpoints (precision/recall losses)", ["ridge"])
+    command("knn", _cmd_knn, "kNN support-overlap precision/recall", ["knn_k"])
+    command(
+        "oracle-check", _cmd_oracle_check, "certify a frontier against the simplex grid", ["side", "grid_size", "m"]
+    ).add_argument("--alpha", required=True)
+    command("pipeline", _cmd_pipeline, "full evaluation from two sample CSVs").add_argument(
+        "--config", help="pipeline config JSON"
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s", stream=sys.stderr)
     args = build_parser().parse_args(argv)
+    for name, value in DEFAULTS.items():
+        if getattr(args, name, value) is None:  # a flag of this command, left unset
+            log.info("using default %s=%s", name, value)
+            setattr(args, name, value)
     try:
+        # --ridge reaches only samples CSVs; check it here, whatever the inputs
+        if not 0 <= getattr(args, "ridge", 0) < math.inf:
+            raise ParameterError(f"ridge must be finite and nonnegative, got {args.ridge}")
         args.func(args)
     except ParseError as exc:
         log.error("parse error: %s", exc)

@@ -66,11 +66,13 @@ def _clip_nonneg(value: float) -> float:
 def renyi_rows(x: np.ndarray, y: np.ndarray, alpha: Alpha) -> np.ndarray:
     """D_alpha(x_i || y_i) for each row i of the broadcast arrays x and y.
 
-    Rows are histograms. The value is 0 for rows within EQUALITY_TOL total
-    variation and +inf where a zero of y_i meets x_i's support at order
-    >= 1, or where the supports are disjoint. Finite orders use a
-    max-shifted log-sum-exp so that very large alpha (up to ~1e4) stays in
-    range; alpha = 0 is -log of y_i's mass on x_i's support.
+    Rows are histograms. At finite orders the value is 0 for rows within
+    EQUALITY_TOL total variation; at alpha = infinity only equal rows give 0,
+    since a tiny x_j inside that band can still carry a large log-ratio. The
+    value is +inf where a zero of y_i meets x_i's support at order >= 1, or
+    where the supports are disjoint. Finite orders use a max-shifted
+    log-sum-exp so that very large alpha (up to ~1e4) stays in range;
+    alpha = 0 is -log of y_i's mass on x_i's support.
     """
     x, y = np.atleast_2d(x, y)
     xsupp = x > 0
@@ -91,7 +93,8 @@ def renyi_rows(x: np.ndarray, y: np.ndarray, alpha: Alpha) -> np.ndarray:
             out = logsumexp(terms, axis=1) / (a - 1.0)
     # divergences are nonnegative; absorb float rounding of exact zeros
     out[(out > -1e-12) & (out < 0.0)] = 0.0
-    out[0.5 * np.abs(x - y).sum(axis=1) <= EQUALITY_TOL] = 0.0
+    if not alpha.is_infinity:
+        out[0.5 * np.abs(x - y).sum(axis=1) <= EQUALITY_TOL] = 0.0
     return out
 
 

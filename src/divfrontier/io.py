@@ -139,22 +139,21 @@ def write_frontier_csv(curve: FrontierCurve, path, flip_lambda: bool = False) ->
         ((1.0 - lam) if flip_lambda else lam, div_p, div_q)
         for lam, div_p, div_q in curve.points
     ]
-    rows.sort(key=lambda r: r[0])
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "loss_recall", "loss_precision"])
-        for lam, div_p, div_q in rows:
-            writer.writerow([repr(float(lam)), repr(float(div_p)), repr(float(div_q))])
+    _write_rows(path, ["lambda", "loss_recall", "loss_precision"], sorted(rows, key=lambda r: r[0]))
 
 
 def write_prd_csv(prd: PRDCurve, path) -> None:
     """Write ``recall,precision`` rows ascending in recall."""
-    rows = sorted((recall, precision) for precision, recall in prd.points)
+    _write_rows(path, ["recall", "precision"], sorted((recall, precision) for precision, recall in prd.points))
+
+
+def _write_rows(path, header: list[str], rows) -> None:
+    """A CSV of the header and the rows in their order, each value as the
+    shortest repr that reads back to the same float."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["recall", "precision"])
-        for recall, precision in rows:
-            writer.writerow([repr(float(recall)), repr(float(precision))])
+        writer.writerow(header)
+        writer.writerows([repr(float(v)) for v in row] for row in rows)
 
 
 def read_pairs_csv(path) -> list[tuple[float, ...]]:
@@ -208,21 +207,24 @@ def _is_number(value) -> bool:
 
 
 def write_json(obj: dict, path) -> None:
-    def default(o):
-        if isinstance(o, (np.floating, np.integer)):
-            return o.item()
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        raise TypeError(f"not JSON serializable: {type(o)}")
-
-    Path(path).write_text(json.dumps(_sanitize_inf(obj), indent=2, default=default) + "\n")
+    Path(path).write_text(json_text(obj))
 
 
-def _sanitize_inf(obj):
+def json_text(obj: dict) -> str:
+    """Indented JSON with +inf as "inf"; -inf or NaN raises ValueError,
+    since strict JSON has no literal for them."""
+    return json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n"
+
+
+def _jsonable(obj):
+    """obj with NumPy arrays and scalars as Python values and +inf as "inf",
+    at any depth."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    elif isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, dict):
-        return {k: _sanitize_inf(v) for k, v in obj.items()}
+        return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_sanitize_inf(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    return obj
+        return [_jsonable(v) for v in obj]
+    return "inf" if obj == math.inf else obj

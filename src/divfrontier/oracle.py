@@ -8,6 +8,7 @@ on user inputs via the ``oracle-check`` CLI command.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,12 @@ from .divergences import renyi_rows
 from .errors import ParameterError
 
 GRID_SMOOTHING = 1e-12  # applied to grid points only, so boundary bins stay finite
+# Largest simplex grid enumerate_simplex builds, in entries (points x bins):
+# the oracle's arrays are a few float copies of the grid, so its memory
+# grows with the entries, not with the points alone.
+MAX_SIMPLEX_ENTRIES = 2_000_000
+# Entries of one (curve rows x front) block in the curve-to-front measures
+_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -37,13 +44,28 @@ def enumerate_simplex(n: int, m: int) -> SimplexGrid:
     """Exhaustive, lexicographically ordered grid; binomial(m+n-1, n-1) points."""
     if n < 2 or m < 1:
         raise ParameterError("need n >= 2 and m >= 1")
-    rows = np.zeros((1, 0), dtype=np.int64)
+    # the count C(m+n-1, k), k = min(n-1, m), is at least 2**k, so a k past
+    # the cap's bit length is over it without computing a huge binomial
+    k = min(n - 1, m)
+    if k >= MAX_SIMPLEX_ENTRIES.bit_length() or math.comb(m + n - 1, k) * n > MAX_SIMPLEX_ENTRIES:
+        raise ParameterError(f"simplex grid n={n}, m={m} exceeds {MAX_SIMPLEX_ENTRIES} entries; lower m")
+    # grow prefixes one entry at a time, keeping only each prefix's parent,
+    # last entry and sum, so building costs O(count x n), not O(count x n^2)
+    sums, steps = np.zeros(1, dtype=np.int64), []
     for _ in range(n - 1):
-        # every row gets one child per value 0..(m - row sum) of its next entry
-        free = m - rows.sum(axis=1) + 1
-        nxt = np.arange(free.sum()) - np.repeat(np.cumsum(free) - free, free)
-        rows = np.column_stack([np.repeat(rows, free, axis=0), nxt])
-    points = np.column_stack([rows, m - rows.sum(axis=1)])
+        # every prefix gets one child per value 0..(m - prefix sum) of its next entry
+        free = m - sums + 1
+        parent = np.repeat(np.arange(len(sums)), free)
+        nxt = np.arange(len(parent)) - np.repeat(np.cumsum(free) - free, free)
+        sums = sums[parent] + nxt
+        steps.append((parent, nxt))
+    points = np.empty((len(sums), n))
+    points[:, -1] = m - sums
+    row = np.arange(len(sums))
+    for j in range(n - 2, -1, -1):  # walk each full row back through its prefixes
+        parent, nxt = steps[j]
+        points[:, j] = nxt[row]
+        row = parent[row]
     return SimplexGrid(n=n, m=m, points=points / m)
 
 
@@ -79,18 +101,30 @@ def max_dominance_violation(
     """Largest margin by which any grid point beats a curve point in both
     coordinates simultaneously (0 if none dominates at all)."""
     C = np.asarray(curve_points, dtype=float).reshape(-1, 2)
-    margins = np.minimum(C[:, None, 0] - grid_pairs[None, :, 0], C[:, None, 1] - grid_pairs[None, :, 1])
-    return float(margins.max(initial=0.0))
+    block_max = [
+        np.minimum(c[:, None, 0] - grid_pairs[None, :, 0], c[:, None, 1] - grid_pairs[None, :, 1]).max(initial=0.0)
+        for c in _row_blocks(C, len(grid_pairs))
+    ]
+    return float(np.max(block_max, initial=0.0))
 
 
 def hausdorff_linf(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
     """Symmetric Hausdorff distance under the max-coordinate point metric."""
-    A = np.asarray(a)
     B = np.asarray(b)
-    d = np.maximum(
-        np.abs(A[:, None, 0] - B[None, :, 0]), np.abs(A[:, None, 1] - B[None, :, 1])
-    )
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+    row_max, col_min = [], np.inf
+    for block in _row_blocks(np.asarray(a), len(B)):
+        d = np.maximum(np.abs(block[:, None, 0] - B[None, :, 0]), np.abs(block[:, None, 1] - B[None, :, 1]))
+        row_max.append(d.min(axis=1).max())
+        col_min = np.minimum(col_min, d.min(axis=0))
+    return float(max(np.max(row_max), col_min.max()))
+
+
+def _row_blocks(rows: np.ndarray, width: int):
+    """Consecutive slices of rows, each small enough that a (block x width)
+    array stays within _BLOCK_ENTRIES, so memory does not grow with the
+    product of the curve and the front."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return (rows[i : i + step] for i in range(0, len(rows), step))
 
 
 def certify_frontier(

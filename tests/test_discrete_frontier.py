@@ -312,6 +312,17 @@ class TestPRD:
         for (a1, b1), (a2, b2) in zip(got, ref):
             assert abs(a1 - a2) <= 1e-9 and abs(b1 - b2) <= 1e-9
 
+    @pytest.mark.parametrize("tiny", [1e-14, 1e-12, 1e-300])
+    def test_tiny_mass_matches_reference(self, tiny):
+        # the geodesic point differs from p only on the tiny bin, so it lies
+        # within 1e-12 total variation of p, yet D_inf to p is log(gamma_0/p_0) > 0
+        p, q = Histogram([tiny, 1.0]), Histogram([0.5, 0.5])
+        got = prd_from_infinity_frontier(frontier(p, q, Alpha.infinity(), EXCLUSIVE, 201)).points
+        ref = prd_reference(p, q, 201).points
+        assert len(got) == len(ref)
+        for (a1, b1), (a2, b2) in zip(got, ref):
+            assert abs(a1 - a2) <= 1e-9 and abs(b1 - b2) <= 1e-9
+
     def test_matches_reference_random(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 11))

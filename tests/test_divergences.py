@@ -322,8 +322,9 @@ def _scalar_kl(pv, qv):
 
 
 def _scalar_renyi(pv, qv, alpha):
-    """renyi_discrete before renyi_rows."""
-    if 0.5 * np.abs(pv - qv).sum() <= 1e-12:
+    """renyi_discrete before renyi_rows, except at alpha = inf: there rows
+    within 1e-12 total variation get the exact max log-ratio, not 0."""
+    if not alpha.is_infinity and 0.5 * np.abs(pv - qv).sum() <= 1e-12:
         return 0.0
     if alpha.is_one:
         return _scalar_kl(pv, qv)
@@ -419,7 +420,10 @@ class TestRenyiRows:
             if alpha.is_one:
                 _assert_same(got, [_scalar_kl(x, y) for x, y in zip(X, Y)])
             equal = 0.5 * np.abs(X - Y).sum(axis=1) <= 1e-12
-            assert equal.sum() == 3 and np.all(got[equal] == 0.0)
+            assert equal.sum() == 3
+            # at alpha = inf only (p, p) and (zero_p, zero_p) are 0; (p, near) is not
+            zero = np.all(X == Y, axis=1) if alpha.is_infinity else equal
+            assert zero.sum() == (2 if alpha.is_infinity else 3) and np.all(got[zero] == 0.0)
 
     @pytest.mark.parametrize("n", [2, 8, 64])
     @pytest.mark.parametrize("alpha", ROW_ALPHAS, ids=str)

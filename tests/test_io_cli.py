@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -200,6 +201,21 @@ class TestJsonInf:
         assert raw["value"] == "inf"
         assert raw["nested"] == [1.0, "inf"]
 
+    def test_numpy_inf_serialized_as_string(self, tmp_path):
+        path = tmp_path / "x.json"
+        write_json({"array": np.array([1.0, np.inf]), "f32": np.float32(np.inf), "i64": np.int64(3)}, path)
+        assert json.loads(path.read_text()) == {"array": [1.0, "inf"], "f32": "inf", "i64": 3}
+
+    @pytest.mark.parametrize(
+        "value",
+        [-np.inf, np.nan, [1.0, -np.inf], np.array([np.nan]), np.float32(-np.inf)],
+        ids=["-inf", "nan", "list-inf", "array-nan", "float32-inf"],
+    )
+    def test_values_without_a_json_literal_raise(self, tmp_path, value):
+        # strict JSON has no -inf or NaN, and "inf" would lose the sign
+        with pytest.raises(ValueError):
+            write_json({"value": value}, tmp_path / "x.json")
+
     def test_histogram_spec_accepts_inf_rejection(self, tmp_path):
         # "inf" decodes to a float, which Histogram then rejects as nonfinite
         path = write(tmp_path / "h.json", '{"type": "histogram", "probs": ["inf", 1.0]}')
@@ -400,6 +416,44 @@ class TestCli:
         p, q = hist_specs
         out = tmp_path / "f.csv"
         assert main(["frontier", "--p", p, "--q", q, "--output", str(out)]) == 1
+
+    def test_a_failing_alpha_writes_no_file(self, tmp_path, sample_csvs):
+        # the KL frontier at alpha=1 succeeds, alpha=2 fails: neither is written
+        sp, sq = sample_csvs
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["frontier", "--p", sp, "--q", sq, "--alpha", "1", "--alpha", "2", "--output", str(out / "f.csv")]
+        assert main(argv) == 1
+        assert list(out.iterdir()) == []
+
+    def test_oracle_check_beyond_the_simplex_cap_exits_1(self, tmp_path, caplog):
+        # 10 bins at the default m = 60 would be C(69, 9) ~ 5.7e10 grid points
+        spec = write(tmp_path / "h.json", json.dumps({"type": "histogram", "probs": [0.1] * 10}))
+        out = tmp_path / "v.json"
+        assert main(["oracle-check", "--p", spec, "--q", spec, "--alpha", "2", "--output", str(out)]) == 1
+        assert "exceeds 2000000 entries" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ridge", ["nan", "-inf", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["endpoints", "frontier"])
+    def test_ridge_junk_exits_1_without_a_file_when_no_csv_is_fitted(self, tmp_path, command, ridge):
+        # --ridge reaches no fit here, yet it goes into the endpoints manifest
+        spec = write(tmp_path / "g.json", json.dumps({"type": "gaussian", "mean": [0.0], "cov": [[1.0]]}))
+        out = tmp_path / "out"
+        out.mkdir()
+        alpha = ["--alpha", "1"] if command == "frontier" else []
+        assert main([command, "--p", spec, "--q", spec, *alpha, f"--ridge={ridge}", "--output", str(out / "o.csv")]) == 1
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command,q", [("endpoints", "bad.csv"), ("frontier", "bad.csv"), ("endpoints", "q.json")])
+    def test_a_histogram_spec_is_refused_where_a_gaussian_is_needed(self, tmp_path, hist_specs, caplog, command, q):
+        # beside a malformed CSV the spec is reported (exit 1), not the CSV (exit 2)
+        write(tmp_path / "bad.csv", "1,2\nx,y\n")
+        out = tmp_path / "o.csv"
+        alpha = ["--alpha", "1"] if command == "frontier" else []
+        assert main([command, "--p", hist_specs[0], "--q", str(tmp_path / q), *alpha, "--output", str(out)]) == 1
+        assert f"{hist_specs[0]}: expected a gaussian spec" in caplog.text
+        assert not out.exists()
 
 
 # pipeline configs whose fields have the wrong JSON type or an unparseable value
@@ -624,8 +678,8 @@ def pipeline_config():
 
 
 def run_cli_twice(d: Path, argv: list[str]) -> None:
-    """main must return an exit code in 0..4; a successful rerun rewrites
-    every output file byte for byte."""
+    """main must return an exit code in 0..4; a failing run writes no file,
+    and a successful rerun rewrites every output file byte for byte."""
     out = d / "out"
 
     def run():
@@ -638,22 +692,28 @@ def run_cli_twice(d: Path, argv: list[str]) -> None:
     code, first = run()
     if code == 0:
         assert first and run() == (0, first)
+    else:
+        assert not first, f"exit {code} left {sorted(map(str, first))}"
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     pq=st.integers(1, 4).flatmap(lambda n: st.tuples(histogram_spec(n), histogram_spec(n))),
     command=st.sampled_from(["prd", "frontier", "oracle-check"]),
-    alpha=ALPHA_TEXT,
+    alphas=st.lists(ALPHA_TEXT, min_size=1, max_size=3),
     side=st.sampled_from(["exclusive", "inclusive"]),
     grid_size=st.one_of(st.integers(-2, 64), BIG_INTEGERS),
-    m=st.integers(-2, 20),
+    m=st.one_of(st.integers(-2, 20), BIG_INTEGERS),
 )
-def test_fuzz_histogram_specs(pq, command, alpha, side, grid_size, m):
+def test_fuzz_histogram_specs(pq, command, alphas, side, grid_size, m):
     p, q = pq
     argv = [command, "--p", "{d}/p.json", "--q", "{d}/q.json", "--grid-size", str(grid_size)]
+    if command == "frontier":
+        argv += [arg for alpha in alphas for arg in ("--alpha", alpha)]
+    elif command == "oracle-check":
+        argv += ["--alpha", alphas[0]]
     if command != "prd":
-        argv += ["--alpha", alpha, "--side", side]
+        argv += ["--side", side]
     if command == "oracle-check":
         argv += ["--m", str(m), "--output", "{d}/out/v.json"]
     else:
@@ -672,9 +732,11 @@ def test_fuzz_histogram_specs(pq, command, alpha, side, grid_size, m):
     command=st.sampled_from(["endpoints", "frontier"]),
     side=st.sampled_from(["exclusive", "inclusive"]),
     grid_size=st.one_of(st.integers(-2, 64), BIG_INTEGERS),
+    ridge=st.one_of(st.sampled_from([0.0, 1e-6, -1.0, math.nan, math.inf, -math.inf]), st.floats()),
 )
-def test_fuzz_gaussian_specs(p, q, command, side, grid_size):
-    argv = [command, "--p", "{d}/p.json", "--q", "{d}/q.json", "--output", "{d}/out/o.csv"]
+def test_fuzz_gaussian_specs(p, q, command, side, grid_size, ridge):
+    # "--ridge=x" is one token, so argparse takes "-inf" as a value
+    argv = [command, "--p", "{d}/p.json", "--q", "{d}/q.json", f"--ridge={ridge}", "--output", "{d}/out/o.csv"]
     if command == "frontier":
         argv += ["--alpha", "1", "--side", side, "--grid-size", str(grid_size)]
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -26,6 +27,8 @@ from divfrontier import (
     realizable_pairs,
     renyi_gaussian,
 )
+from divfrontier import oracle as oracle_module
+from divfrontier.oracle import MAX_SIMPLEX_ENTRIES
 
 INF = float("inf")
 
@@ -88,7 +91,38 @@ class TestEnumerateSimplex:
         with pytest.raises(ParameterError):
             enumerate_simplex(3, 0)
 
-    @pytest.mark.parametrize("n,m", [(2, 7), (3, 12), (4, 9), (5, 6), (2, 1), (6, 1)])
+    # (1413, 2) and (20000, 1) have under a million points but billions of entries
+    @pytest.mark.parametrize(
+        "n,m", [(2, 2**40), (10, 60), (3, 1413), (1413, 2), (20000, 1), (21, 20), (2**40, 1), (2**40, 2**40)]
+    )
+    def test_grid_beyond_the_cap_raises_without_allocating(self, n, m):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="exceeds"):
+                enumerate_simplex(n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_at_the_cap_is_built(self):
+        assert enumerate_simplex(2, MAX_SIMPLEX_ENTRIES // 2 - 1).points.size == MAX_SIMPLEX_ENTRIES
+        with pytest.raises(ParameterError, match="exceeds"):
+            enumerate_simplex(2, MAX_SIMPLEX_ENTRIES // 2)
+        assert enumerate_simplex(1414, 1).points.size == 1414**2 <= MAX_SIMPLEX_ENTRIES
+
+    def test_cap_agrees_with_the_binomial(self, monkeypatch):
+        # a small cap puts both the bit-length shortcut and math.comb to work
+        monkeypatch.setattr(oracle_module, "MAX_SIMPLEX_ENTRIES", 1000)
+        for n in range(2, 26):
+            for m in range(1, 30):
+                if math.comb(m + n - 1, n - 1) * n > 1000:
+                    with pytest.raises(ParameterError):
+                        enumerate_simplex(n, m)
+                else:
+                    assert enumerate_simplex(n, m).count == math.comb(m + n - 1, n - 1)
+
+    @pytest.mark.parametrize("n,m", [(2, 7), (3, 12), (4, 9), (5, 6), (2, 1), (6, 1), (30, 2), (50, 1)])
     def test_matches_the_combinations_construction_in_order(self, n, m):
         grid = enumerate_simplex(n, m)
         assert (grid.n, grid.m) == (n, m)
@@ -171,6 +205,47 @@ def former_max_dominance_violation(curve_points, grid_pairs):
         margins = np.minimum(cx - grid_pairs[:, 0], cy - grid_pairs[:, 1])
         worst = max(worst, float(margins.max()))
     return worst
+
+
+def broadcast_max_dominance_violation(curve_points, grid_pairs):
+    """max_dominance_violation before it worked in blocks: one (curve x grid) array."""
+    C = np.asarray(curve_points, dtype=float).reshape(-1, 2)
+    margins = np.minimum(C[:, None, 0] - grid_pairs[None, :, 0], C[:, None, 1] - grid_pairs[None, :, 1])
+    return float(margins.max(initial=0.0))
+
+
+def broadcast_hausdorff_linf(a, b):
+    """hausdorff_linf before it worked in blocks: one (a x b) distance array."""
+    A = np.asarray(a)
+    B = np.asarray(b)
+    d = np.maximum(np.abs(A[:, None, 0] - B[None, :, 0]), np.abs(A[:, None, 1] - B[None, :, 1]))
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def _same(got, want):
+    return got == want or (math.isnan(got) and math.isnan(want))
+
+
+class TestBlockedMeasures:
+    @given(
+        curve=st.lists(st.tuples(coordinates, coordinates), max_size=12),
+        front=st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=12),
+        block=st.integers(1, 40),
+    )
+    @settings(max_examples=300)
+    def test_equal_the_broadcast(self, curve, front, block):
+        # block entries from 1 (one curve row per block) up to more than the
+        # whole array, so both one block and many are compared
+        F = np.array(front, dtype=float)
+        saved = oracle_module._BLOCK_ENTRIES
+        oracle_module._BLOCK_ENTRIES = block
+        try:
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
+                assert _same(max_dominance_violation(curve, F), broadcast_max_dominance_violation(curve, F))
+                if curve:
+                    assert _same(hausdorff_linf(curve, front), broadcast_hausdorff_linf(curve, front))
+        finally:
+            oracle_module._BLOCK_ENTRIES = saved
 
 
 class TestDominanceAgainstTheFront:
