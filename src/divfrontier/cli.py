@@ -121,6 +121,7 @@ def _cmd_frontier(args) -> None:
         "alphas": [str(a) for a in alphas],
         "side": args.side,
         "grid_size": args.grid_size,
+        "ridge": args.ridge,
         "outputs": [str(path) for path in paths],
     }
     with _manifest(args, config):

@@ -21,9 +21,8 @@ from .errors import ParameterError
 EXCLUSIVE = "exclusive"
 INCLUSIVE = "inclusive"
 _SIDES = (EXCLUSIVE, INCLUSIVE)
-# Largest lambda grid a frontier accepts: a frontier holds a few (grid x n) or
-# (grid x d) float arrays, about 10 MB each at n or d = 128 under this cap.
-MAX_GRID_SIZE = 10_000
+MAX_GRID_SIZE = 10_000  # largest lambda grid a frontier accepts; its memory is bounded by the blocks
+_BLOCK_ENTRIES = 1 << 20  # entries of one (lambda rows x n or d) or (curve x front) block
 
 
 @dataclass(frozen=True)
@@ -61,36 +60,48 @@ def _check_lambda_unit(lam: float) -> None:
         raise ParameterError(f"lambda must be in [0,1], got {lam}")
 
 
-def _power_mean_point(p: Histogram, q: Histogram, e: float, lam: float) -> Histogram:
-    """Point on the barycentric path whose entries are power means of order e,
+def _row_blocks(rows: np.ndarray, width: int):
+    """Consecutive slices of rows, each small enough that a (block x width) array
+    stays within _BLOCK_ENTRIES, so memory does not grow with the rows."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return (rows[i : i + step] for i in range(0, len(rows), step))
+
+
+def _power_mean_rows(pv: np.ndarray, qv: np.ndarray, e: float, lams: np.ndarray) -> np.ndarray:
+    """Unnormalised points on the barycentric path whose entries are power
+    means of order e, one row per lambda in [0, 1]:
     gamma_i proportional to (lam*q_i^e + (1-lam)*p_i^e)^(1/e).
 
     Order 0 is the geometric mean q_i^lam * p_i^(1-lam) and order 1 the
-    arithmetic mean. For e <= 0 a zero in either p_i or q_i forces
-    gamma_i = 0 on the open interval (continuity limit of the formula);
-    for e > 0 only a zero in both does.
+    arithmetic mean; the rows at lambda 0 and 1 are p and q. For e <= 0 a
+    zero in either p_i or q_i forces gamma_i = 0 on the open interval
+    (continuity limit of the formula); for e > 0 only a zero in both does.
     """
+    lam = lams[:, None]
+    if e == 1.0:  # exactly p and q at lambda 0 and 1
+        return lam * qv + (1.0 - lam) * pv
+    rows = np.where(lam == 0.0, pv, qv)  # the ends; rows inside (0, 1) are filled below
+    inner = (lams > 0.0) & (lams < 1.0)
+    live = (pv > 0) & (qv > 0) if e <= 0.0 else (pv > 0) | (qv > 0)
+    if np.any(inner) and not np.any(live):
+        raise ParameterError("barycentric path point has empty support")
+    with np.errstate(divide="ignore"):  # for e > 0 a live entry may be 0 in one of p, q
+        log_p, log_q = np.log(pv[live]), np.log(qv[live])
+    lam = lam[inner]
+    if e == 0.0:
+        log_w = lam * log_q + (1.0 - lam) * log_p
+    else:
+        log_w = np.logaddexp(np.log(lam) + e * log_q, np.log1p(-lam) + e * log_p) / e
+    rows[inner] = 0.0
+    rows[np.ix_(inner, live)] = np.exp(log_w - log_w.max(axis=1, keepdims=True, initial=-np.inf))
+    return rows
+
+
+def _power_mean_point(p: Histogram, q: Histogram, e: float, lam: float) -> Histogram:
+    """The power-mean path point of order e at one lambda in [0, 1]."""
     check_same_length(p, q)
     _check_lambda_unit(lam)
-    if lam == 0.0:
-        return Histogram(p.probs)
-    if lam == 1.0:
-        return Histogram(q.probs)
-    pv, qv = p.probs, q.probs
-    if e == 1.0:
-        return Histogram(lam * qv + (1.0 - lam) * pv)
-    with np.errstate(divide="ignore"):
-        log_p, log_q = np.log(pv), np.log(qv)
-        if e == 0.0:
-            log_w = lam * log_q + (1.0 - lam) * log_p
-        else:
-            log_w = np.logaddexp(np.log(lam) + e * log_q, np.log1p(-lam) + e * log_p) / e
-    live = (pv > 0) & (qv > 0) if e <= 0.0 else (pv > 0) | (qv > 0)
-    if not np.any(live):
-        raise ParameterError("barycentric path point has empty support")
-    w = np.zeros(pv.size)
-    w[live] = np.exp(log_w[live] - np.max(log_w[live]))
-    return Histogram(w)
+    return Histogram(_power_mean_rows(p.probs, q.probs, e, np.array([lam], dtype=float))[0])
 
 
 def exclusive_curve_point(p: Histogram, q: Histogram, alpha: Alpha, lam: float) -> Histogram:
@@ -134,6 +145,13 @@ def _ratio_domain(p: Histogram, q: Histogram) -> tuple[float, float]:
     return float(ratios.min()), float(ratios.max())
 
 
+def _geodesic_rows(pv: np.ndarray, qv: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Unnormalised points on the Funk-metric geodesic, one row per lambda:
+    gamma_i proportional to min(p_i, q_i/lambda), and p at lambda = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # the row at lambda 0 is p, not q/0
+        return np.where(lams[:, None] > 0.0, np.minimum(pv, qv / lams[:, None]), pv)
+
+
 def infinity_geodesic_point(p: Histogram, q: Histogram, lam: float) -> Histogram:
     """Point on the Funk-metric geodesic,
     gamma_i proportional to min(p_i, q_i/lambda),
@@ -142,12 +160,7 @@ def infinity_geodesic_point(p: Histogram, q: Histogram, lam: float) -> Histogram
     lo, hi = _ratio_domain(p, q)
     if not lo - 1e-12 <= lam <= hi + 1e-12:
         raise ParameterError(f"lambda={lam} outside geodesic domain [{lo}, {hi}]")
-    pv, qv = p.probs, q.probs
-    if lam <= 0.0:
-        return Histogram(pv)
-    with np.errstate(divide="ignore"):
-        w = np.minimum(pv, qv / lam)
-    return Histogram(w)
+    return Histogram(_geodesic_rows(p.probs, q.probs, np.array([lam], dtype=float))[0])
 
 
 def pareto_filter(points: Sequence[tuple[float, float]] | np.ndarray) -> list[tuple[float, float]]:
@@ -172,16 +185,13 @@ def pareto_filter(points: Sequence[tuple[float, float]] | np.ndarray) -> list[tu
 def _pareto_filter_triples(
     triples: list[tuple[float, float, float]]
 ) -> tuple[tuple[float, float, float], ...]:
-    """Pareto-filter (lam, x, y) triples on their (x, y) coordinates."""
-    survivors = set(pareto_filter([(x, y) for _, x, y in triples]))
-    seen: set[tuple[float, float]] = set()
-    out = []
-    for lam, x, y in triples:
-        key = (float(x), float(y))
-        if key in survivors and key not in seen:
-            seen.add(key)
-            out.append((float(lam), float(x), float(y)))
-    return tuple(out)
+    """Pareto-filter (lam, x, y) triples on their (x, y) coordinates, keeping
+    the first triple of each surviving pair, in input order."""
+    first: dict[tuple[float, float], tuple[float, float, float]] = {}
+    for triple in triples:
+        first.setdefault(triple[1:], triple)
+    survivors = set(pareto_filter(list(first)))
+    return tuple(triple for key, triple in first.items() if key in survivors)
 
 
 def _geometric_lambda_grid(lo: float, hi: float, grid_size: int) -> np.ndarray:
@@ -222,21 +232,21 @@ def frontier(
     if alpha.is_infinity:
         if side != EXCLUSIVE:
             raise ParameterError("alpha=inf frontiers are only defined exclusively")
-        lo, hi = _ratio_domain(p, q)
-        lams = _geometric_lambda_grid(lo, hi, grid_size)
-        gammas = [infinity_geodesic_point(p, q, lam) for lam in lams]
+        lams = _geometric_lambda_grid(*_ratio_domain(p, q), grid_size)
     else:
         lams = np.linspace(0.0, 1.0, grid_size)
         a = 1.0 if alpha.is_one else alpha.value
         e = a if side == INCLUSIVE else 1.0 - a
-        gammas = [_power_mean_point(p, q, e, lam) for lam in lams]
-    G = np.stack([g.probs for g in gammas])
-    if side == EXCLUSIVE:
-        div_p, div_q = renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)
-    else:
-        div_p, div_q = renyi_rows(p.probs, G, alpha), renyi_rows(q.probs, G, alpha)
-    triples = list(zip(lams.tolist(), div_p.tolist(), div_q.tolist()))
-    return FrontierCurve(_pareto_filter_triples(triples), side, alpha)
+    divs = []
+    for lam in _row_blocks(lams, len(p)):
+        W = _geodesic_rows(p.probs, q.probs, lam) if alpha.is_infinity else _power_mean_rows(p.probs, q.probs, e, lam)
+        G = np.stack([Histogram(w).probs for w in W])  # each row normalised as a Histogram
+        if side == EXCLUSIVE:
+            divs.append((renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)))
+        else:
+            divs.append((renyi_rows(p.probs, G, alpha), renyi_rows(q.probs, G, alpha)))
+    div_p, div_q = (np.concatenate(d).tolist() for d in zip(*divs))
+    return FrontierCurve(_pareto_filter_triples(list(zip(lams.tolist(), div_p, div_q))), side, alpha)
 
 
 def _prd_curve(pairs) -> PRDCurve:

@@ -164,7 +164,7 @@ class GaussianParams:
             raise ParameterError("Gaussian parameters must be finite")
         if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
             raise ParameterError("covariance is not symmetric within 1e-10")
-        cov = 0.5 * (cov + cov.T)
+        cov = 0.5 * cov + 0.5 * cov.T  # not 0.5 * (cov + cov.T), which overflows near float max
         try:
             np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:

@@ -58,9 +58,10 @@ def logsumexp(x, axis=None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def _clip_nonneg(value: float) -> float:
-    # divergences are nonnegative; absorb float rounding of exact zeros
-    return 0.0 if -1e-12 < value < 0.0 else value
+def _clip_nonneg(value):
+    # divergences are nonnegative; absorb float rounding of exact zeros, elementwise (a scalar gives a float)
+    out = np.where((value > -1e-12) & (value < 0.0), 0.0, value)
+    return out if out.ndim else float(out)
 
 
 def renyi_rows(x: np.ndarray, y: np.ndarray, alpha: Alpha) -> np.ndarray:
@@ -91,8 +92,7 @@ def renyi_rows(x: np.ndarray, y: np.ndarray, alpha: Alpha) -> np.ndarray:
             a = alpha.value
             terms = np.where(xsupp, a * log_x + (1.0 - a) * log_y, -INF)
             out = logsumexp(terms, axis=1) / (a - 1.0)
-    # divergences are nonnegative; absorb float rounding of exact zeros
-    out[(out > -1e-12) & (out < 0.0)] = 0.0
+    out = _clip_nonneg(out)
     if not alpha.is_infinity:
         out[0.5 * np.abs(x - y).sum(axis=1) <= EQUALITY_TOL] = 0.0
     return out
@@ -145,7 +145,7 @@ def _kl_axes(r: np.ndarray, m: np.ndarray) -> np.ndarray:
 def kl_gaussian(P: GaussianParams, Q: GaussianParams) -> float:
     """Closed-form KL divergence between multivariate Gaussians."""
     t, s, d2 = _whitened_pair(P, Q)
-    return _clip_nonneg(float(_kl_axes(s / t, d2 / s)))
+    return _clip_nonneg(_kl_axes(s / t, d2 / s))
 
 
 def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
@@ -170,7 +170,7 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
         # log(p/q) is a quadratic, concave with its vertex at this value iff t < s
         if t[0] >= s[0]:
             return 0.0 if t[0] == s[0] and d2[0] == 0.0 else INF
-        return _clip_nonneg(float(0.5 * np.log(r[0]) + d2[0] / (2.0 * (s[0] - t[0]))))
+        return _clip_nonneg(0.5 * np.log(r[0]) + d2[0] / (2.0 * (s[0] - t[0])))
     a = alpha.value
     # the interpolated covariance is diag(t * (1 + a (r - 1))) on these axes
     k = a * (r - 1.0)
@@ -179,7 +179,7 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
             f"interpolated covariance alpha*Sigma_Q + (1-alpha)*Sigma_P is not positive definite for alpha={a}"
         )
     value = np.sum(a * d2 / (2.0 * t * (1.0 + k))) - np.sum(np.log1p(k) - a * np.log(r)) / (2.0 * (a - 1.0))
-    return _clip_nonneg(float(value))
+    return _clip_nonneg(value)
 
 
 def bregman_kl(theta: np.ndarray, theta_prime: np.ndarray, fam: ExpFamilySpec) -> float:

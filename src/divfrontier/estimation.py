@@ -96,8 +96,8 @@ def fit_gaussian(samples, ridge: float = 0.0) -> GaussianParams:
     n = samples.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples to fit a Gaussian, got {n}")
-    if ridge < 0:
-        raise ParameterError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:
+        raise ParameterError(f"ridge must be finite and nonnegative, got {ridge}")
     mean = samples.mean(axis=0)
     centered = samples - mean
     cov = centered.T @ centered / (n - 1) + ridge * np.eye(samples.shape[1])

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_grid_size, _check_side
-from .discrete_frontier import _pareto_filter_triples
+from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_grid_size, _check_lambda_unit, _check_side
+from .discrete_frontier import _pareto_filter_triples, _row_blocks
 from .distributions import Alpha, GaussianParams
 from .divergences import INF, ExpFamilySpec, _clip_nonneg, _kl_axes, _whitened_pair
 from .errors import ParameterError
@@ -30,8 +30,7 @@ def expfam_curve_point(
     """Barycentric path point in the family: natural-coordinate line
     (exclusive) or moment-coordinate line pulled back (inclusive)."""
     _check_side(side)
-    if not 0.0 <= lam <= 1.0:
-        raise ParameterError(f"lambda must be in [0,1], got {lam}")
+    _check_lambda_unit(lam)
     tp, tq = theta_p.theta, theta_q.theta
     if tp.shape != (fam.param_dim,) or tq.shape != (fam.param_dim,):
         raise ParameterError(f"natural parameters must have length {fam.param_dim}")
@@ -62,25 +61,24 @@ def frontier_kl(
         # the exact ends and the interior losses are out of float range
         return FrontierCurve(((0.0, INF, 0.0), (1.0, 0.0, INF)), side, Alpha.one())
     lams = np.linspace(0.0, 1.0, grid_size)
-    lam, mu = lams[:, None], 1.0 - lams[:, None]
-    # KL = (sum over axes of 1/r - 1 + log r + m, plus log k) / 2; each r is
-    # exactly 1 at its own end, so the vanishing coordinate is exactly 0 there
-    if side == EXCLUSIVE:
-        r_p, r_q = lam + mu * (t / s), lam * (s / t) + mu  # precision times t, s
-        shift = d2 / (r_p * r_q)  # (mean - a)^2 / t = mu^2 shift / s
-        m_p, m_q, log_k = mu * mu * shift / s, lam * lam * shift / t, 0.0
-    else:
-        var, c = lam * t + mu * s, lam * mu  # covariance diag(var) + c (a-b)(a-b)'
-        r_p, r_q = lam + mu * (s / t), lam * (t / s) + mu  # var / t, var / s
-        c_s0 = c * (d2 / var).sum(axis=1, keepdims=True)  # k = 1 + c_s0 by the determinant lemma
-        m_p, m_q = (d2 / var * (w * w - c / r) / (1.0 + c_s0) for w, r in ((mu, r_p), (lam, r_q)))
-        log_k = np.log1p(c_s0[:, 0])
-
-    def kl(r, m):
-        return map(_clip_nonneg, (_kl_axes(r, m) + 0.5 * log_k).tolist())
-
-    triples = list(zip(lams.tolist(), kl(r_p, m_p), kl(r_q, m_q)))
-    return FrontierCurve(_pareto_filter_triples(triples), side, Alpha.one())
+    divs = []
+    for block in _row_blocks(lams, t.size):
+        lam, mu = block[:, None], 1.0 - block[:, None]
+        # KL = (sum over axes of 1/r - 1 + log r + m, plus log k) / 2; each r is
+        # exactly 1 at its own end, so the vanishing coordinate is exactly 0 there
+        if side == EXCLUSIVE:
+            r_p, r_q = lam + mu * (t / s), lam * (s / t) + mu  # precision times t, s
+            shift = d2 / (r_p * r_q)  # (mean - a)^2 / t = mu^2 shift / s
+            m_p, m_q, log_k = mu * mu * shift / s, lam * lam * shift / t, 0.0
+        else:
+            var, c = lam * t + mu * s, lam * mu  # covariance diag(var) + c (a-b)(a-b)'
+            r_p, r_q = lam + mu * (s / t), lam * (t / s) + mu  # var / t, var / s
+            c_s0 = c * (d2 / var).sum(axis=1, keepdims=True)  # k = 1 + c_s0 by the determinant lemma
+            m_p, m_q = (d2 / var * (w * w - c / r) / (1.0 + c_s0) for w, r in ((mu, r_p), (lam, r_q)))
+            log_k = np.log1p(c_s0[:, 0])
+        divs.append([_clip_nonneg(_kl_axes(r, m) + 0.5 * log_k) for r, m in ((r_p, m_p), (r_q, m_q))])
+    div_p, div_q = (np.concatenate(d).tolist() for d in zip(*divs))
+    return FrontierCurve(_pareto_filter_triples(list(zip(lams.tolist(), div_p, div_q))), side, Alpha.one())
 
 
 def kl_endpoints(P: GaussianParams, Q: GaussianParams) -> tuple[float, float]:
@@ -91,4 +89,4 @@ def kl_endpoints(P: GaussianParams, Q: GaussianParams) -> tuple[float, float]:
     KL(P||Q) to Q failing to cover P (recall).
     """
     t, s, d2 = _whitened_pair(P, Q)  # one whitening for both directions
-    return _clip_nonneg(float(_kl_axes(t / s, d2 / t))), _clip_nonneg(float(_kl_axes(s / t, d2 / s)))
+    return _clip_nonneg(_kl_axes(t / s, d2 / t)), _clip_nonneg(_kl_axes(s / t, d2 / s))

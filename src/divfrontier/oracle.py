@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, pareto_filter
+from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, _row_blocks, pareto_filter
 from .distributions import Alpha, GaussianParams, Histogram, check_same_length
 from .divergences import renyi_rows
 from .errors import ParameterError
@@ -23,8 +23,6 @@ GRID_SMOOTHING = 1e-12  # applied to grid points only, so boundary bins stay fin
 # the oracle's arrays are a few float copies of the grid, so its memory
 # grows with the entries, not with the points alone.
 MAX_SIMPLEX_ENTRIES = 2_000_000
-# Entries of one (curve rows x front) block in the curve-to-front measures
-_BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -117,14 +115,6 @@ def hausdorff_linf(a: list[tuple[float, float]], b: list[tuple[float, float]]) -
         row_max.append(d.min(axis=1).max())
         col_min = np.minimum(col_min, d.min(axis=0))
     return float(max(np.max(row_max), col_min.max()))
-
-
-def _row_blocks(rows: np.ndarray, width: int):
-    """Consecutive slices of rows, each small enough that a (block x width)
-    array stays within _BLOCK_ENTRIES, so memory does not grow with the
-    product of the curve and the front."""
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
-    return (rows[i : i + step] for i in range(0, len(rows), step))
 
 
 def certify_frontier(

@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,13 +28,15 @@ from divfrontier.discrete_frontier import (
     MAX_GRID_SIZE,
     _check_lambda_unit,
     _check_side,
+    _geodesic_rows,
     _geometric_lambda_grid,
     _pareto_filter_triples,
+    _power_mean_rows,
     _ratio_domain,
 )
 from divfrontier.distributions import check_same_length
 from divfrontier.divergences import renyi_rows
-from tests.conftest import random_histogram
+from tests.conftest import pareto_filter_triples_loop, random_histogram, rows_per_block
 
 P = Histogram([0.5, 0.5])
 Q = Histogram([0.25, 0.75])
@@ -203,6 +208,15 @@ class TestParetoFilter:
         assert pareto_filter(pts) == brute
 
 
+triple_coords = st.sampled_from([0.0, -0.0, 1.0, 2.0, float("inf")])
+
+
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), triple_coords, triple_coords), max_size=30))
+def test_pareto_filter_triples_matches_the_loop(triples):
+    # few distinct coordinates, so duplicates, ties and signed zeros are common
+    assert repr(_pareto_filter_triples(triples)) == repr(pareto_filter_triples_loop(triples))
+
+
 class TestFrontier:
     def test_equal_inputs_collapse(self):
         curve = frontier(P, P, Alpha.finite(2), EXCLUSIVE, 51)
@@ -360,8 +374,9 @@ class TestPRD:
 
 
 # The per-order path functions, frontier dispatch and PRD loops as they were
-# before every finite-order path became one power-mean function; the
-# equivalence tests below require the package to match them bit for bit.
+# before every finite-order path became one power-mean function, and the
+# per-lambda geodesic as it was before the paths went in lambda row blocks;
+# the equivalence tests below require the package to match them bit for bit.
 
 
 def _ref_log_mix(log_a, log_b, lam):
@@ -455,7 +470,32 @@ def ref_finite_frontier(p, q, alpha, side, grid_size):
         div_p, div_q = renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)
     else:
         div_p, div_q = renyi_rows(p.probs, G, alpha), renyi_rows(q.probs, G, alpha)
-    return _pareto_filter_triples(list(zip(lams.tolist(), div_p.tolist(), div_q.tolist())))
+    return pareto_filter_triples_loop(list(zip(lams.tolist(), div_p.tolist(), div_q.tolist())))
+
+
+def ref_infinity_geodesic_point(p, q, lam):
+    check_same_length(p, q)
+    lo, hi = _ratio_domain(p, q)
+    if not lo - 1e-12 <= lam <= hi + 1e-12:
+        raise ParameterError(f"lambda={lam} outside geodesic domain [{lo}, {hi}]")
+    pv, qv = p.probs, q.probs
+    if lam <= 0.0:
+        return Histogram(pv)
+    with np.errstate(divide="ignore"):
+        w = np.minimum(pv, qv / lam)
+    return Histogram(w)
+
+
+def ref_frontier(p, q, alpha, side, grid_size):
+    """frontier() as one path point per lambda, every path stacked at once."""
+    if not alpha.is_infinity:
+        return ref_finite_frontier(p, q, alpha, side, grid_size)
+    if side != EXCLUSIVE:
+        raise ParameterError("alpha=inf frontiers are only defined exclusively")
+    lams = _geometric_lambda_grid(*_ratio_domain(p, q), grid_size)
+    G = np.stack([ref_infinity_geodesic_point(p, q, lam).probs for lam in lams])
+    div_p, div_q = renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)
+    return pareto_filter_triples_loop(list(zip(lams.tolist(), div_p.tolist(), div_q.tolist())))
 
 
 def _ref_pareto_max(points):
@@ -536,6 +576,7 @@ def equivalence_pairs():
 EQUIVALENCE_PAIRS = equivalence_pairs()
 EQUIVALENCE_ALPHAS = [Alpha.parse(a) for a in ("1e-3", "0.5", "1", "2", "1e4", "inf")]
 PATH_LAMBDAS = [0.0, 1e-9, 0.3, 0.5, 1.0 - 1e-9, 1.0]
+ROWS_PER_BLOCK = [None, 1, 7]  # the default block, one row per block, and ragged blocks
 
 
 def outcome(fn, *args):
@@ -583,13 +624,61 @@ class TestPowerMeanEquivalence:
     @pytest.mark.parametrize("name, pv, qv", EQUIVALENCE_PAIRS, ids=[c[0] for c in EQUIVALENCE_PAIRS])
     def test_frontiers_and_prd_identical(self, name, pv, qv):
         p, q = Histogram(pv), Histogram(qv)
-        for grid_size in (2, 51):
+        for grid_size in (2, 51, 201):
             for side in (EXCLUSIVE, INCLUSIVE):
-                for alpha in EQUIVALENCE_ALPHAS[:-1]:  # the alpha=inf geodesic branch is unchanged
-                    got = outcome(lambda: frontier(p, q, alpha, side, grid_size).points)
-                    want = outcome(ref_finite_frontier, p, q, alpha, side, grid_size)
-                    assert repr(got) == repr(want), (side, str(alpha))  # repr tells -0.0 from 0.0
+                for alpha in EQUIVALENCE_ALPHAS:
+                    want = outcome(ref_frontier, p, q, alpha, side, grid_size)
+                    for rows in ROWS_PER_BLOCK:
+                        with rows_per_block(rows, len(p)):
+                            got = outcome(lambda: frontier(p, q, alpha, side, grid_size).points)
+                        # repr tells -0.0 from 0.0
+                        assert repr(got) == repr(want), (grid_size, side, str(alpha), rows)
             curve = frontier(p, q, Alpha.infinity(), EXCLUSIVE, grid_size)
             got = prd_from_infinity_frontier(curve).points
             assert repr(got) == repr(ref_prd_from_infinity_frontier(curve))
             assert repr(prd_reference(p, q, grid_size).points) == repr(ref_prd_reference(p, q, grid_size))
+
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("name, pv, qv", EQUIVALENCE_PAIRS, ids=[c[0] for c in EQUIVALENCE_PAIRS])
+    def test_geodesic_points_bit_identical(self, name, pv, qv):
+        p, q = Histogram(pv), Histogram(qv)
+        lo, hi = _ratio_domain(p, q)
+        lams = _geometric_lambda_grid(lo, hi, 51).tolist() + [lo - 1e-13, hi + 1e-13, -1.0, 2 * hi + 1, float("nan")]
+        for lam in lams:
+            got = outcome(infinity_geodesic_point, p, q, lam)
+            assert same_point(got, outcome(ref_infinity_geodesic_point, p, q, lam)), lam
+
+    @pytest.mark.parametrize("name, pv, qv", EQUIVALENCE_PAIRS, ids=[c[0] for c in EQUIVALENCE_PAIRS])
+    def test_row_functions_warn_nothing_and_end_at_p_and_q(self, name, pv, qv):
+        p, q = Histogram(pv), Histogram(qv)
+        pv, qv = p.probs, q.probs
+        lams = np.array(sorted(set(PATH_LAMBDAS) | set(np.linspace(0.0, 1.0, 51).tolist())))
+        orders = {0.0, 1.0} | {e for a in EQUIVALENCE_ALPHAS if a.is_finite for e in (a.value, 1.0 - a.value)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for e in sorted(orders):
+                rows = outcome(_power_mean_rows, pv, qv, e, lams)
+                if isinstance(rows, tuple):  # a path without admissible interior points
+                    assert rows == (ParameterError, "barycentric path point has empty support")
+                    continue
+                assert np.array_equal(rows[0], pv) and np.array_equal(rows[-1], qv)
+                assert np.isfinite(rows).all() and (rows.sum(axis=1) > 0).all()
+            geo = _geodesic_rows(pv, qv, _geometric_lambda_grid(*_ratio_domain(p, q), 201))
+            assert np.isfinite(geo).all() and (geo.sum(axis=1) > 0).all()
+            assert np.array_equal(_geodesic_rows(pv, qv, np.array([0.0]))[0], pv)
+
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    def test_memory_is_bounded_by_the_blocks(self, side):
+        # a (grid x bins) float array alone would be 108 MiB here
+        rng = np.random.default_rng(1414)
+        p, q = Histogram(rng.dirichlet(np.ones(1414))), Histogram(rng.dirichlet(np.ones(1414)))
+        tracemalloc.start()
+        try:
+            curve = frontier(p, q, Alpha.finite(2), side, MAX_GRID_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve.points) > 1
+        assert peak <= 64 * 2**20

@@ -95,6 +95,20 @@ class TestGaussianParams:
         g = GaussianParams([0.0, 0.0], cov)
         assert np.array_equal(g.cov, g.cov.T)
 
+    def test_symmetrizing_keeps_the_parent_bits(self, rng):
+        # 0.5 * cov + 0.5 * cov.T equals 0.5 * (cov + cov.T) outside the subnormal range
+        for scale in (1e-300, 1e-3, 1.0, 1e3):
+            a = rng.standard_normal((6, 6))
+            cov = scale * (a @ a.T + np.eye(6))
+            cov[0, 1] = np.nextafter(cov[0, 1], np.inf)
+            assert np.array_equal(GaussianParams(np.zeros(6), cov).cov, 0.5 * (cov + cov.T))
+
+    def test_covariance_near_float_max_stays_finite(self):
+        # 0.5 * (cov + cov.T) would overflow these entries to inf
+        cov = np.array([[1.7e308, 1e308], [1e308, 1.7e308]])
+        g = GaussianParams([0.0, 0.0], cov)
+        assert np.array_equal(g.cov, cov)
+
     def test_rejects_non_pd(self):
         with pytest.raises(ParameterError):
             GaussianParams([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])

@@ -22,6 +22,7 @@ from divfrontier import (
     renyi_discrete,
     renyi_gaussian,
 )
+from divfrontier.divergences import _clip_nonneg as clip_nonneg
 from divfrontier.divergences import _whitened_pair, logsumexp, renyi_rows
 from tests.conftest import conditioned_gaussian, random_gaussian, random_histogram
 
@@ -309,6 +310,15 @@ class TestLogSumExp:
 
 def _clip_nonneg(value):
     return 0.0 if -1e-12 < value < 0.0 else value
+
+
+def test_clip_nonneg_matches_the_scalar_clip():
+    values = [-1.0, -1e-12, -5e-13, -5e-324, -0.0, 0.0, 5e-13, 1.0, INF, -INF, float("nan")]
+    for v in values:
+        got = clip_nonneg(v)
+        assert type(got) is float and repr(got) == repr(_clip_nonneg(v))
+        assert repr(clip_nonneg(np.float64(v))) == repr(_clip_nonneg(v))
+    assert repr(clip_nonneg(np.array(values)).tolist()) == repr([_clip_nonneg(v) for v in values])
 
 
 def _scalar_kl(pv, qv):

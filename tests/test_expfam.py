@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,8 @@ from divfrontier import (
     renyi_gaussian,
 )
 from divfrontier.discrete_frontier import MAX_GRID_SIZE, _pareto_filter_triples
-from tests.conftest import conditioned_gaussian, random_gaussian
+from divfrontier.divergences import _kl_axes, _whitened_pair
+from tests.conftest import conditioned_gaussian, pareto_filter_triples_loop, random_gaussian, rows_per_block
 
 
 class TestParameterMaps:
@@ -225,7 +228,55 @@ EQUIVALENCE_CASES = [
 ] + [(40, "ridge10"), (64, "ridge5")]
 
 
+def frontier_kl_one_pass(P, Q, side, grid_size):
+    """frontier_kl's points before it worked in lambda blocks: one pass of
+    (grid x d) arrays over the whole grid."""
+    t, s, d2 = _whitened_pair(P, Q)
+    if not np.isfinite(d2.sum()):
+        return ((0.0, float("inf"), 0.0), (1.0, 0.0, float("inf")))
+    lams = np.linspace(0.0, 1.0, grid_size)
+    lam, mu = lams[:, None], 1.0 - lams[:, None]
+    if side == EXCLUSIVE:
+        r_p, r_q = lam + mu * (t / s), lam * (s / t) + mu
+        shift = d2 / (r_p * r_q)
+        m_p, m_q, log_k = mu * mu * shift / s, lam * lam * shift / t, 0.0
+    else:
+        var, c = lam * t + mu * s, lam * mu
+        r_p, r_q = lam + mu * (s / t), lam * (t / s) + mu
+        c_s0 = c * (d2 / var).sum(axis=1, keepdims=True)
+        m_p, m_q = (d2 / var * (w * w - c / r) / (1.0 + c_s0) for w, r in ((mu, r_p), (lam, r_q)))
+        log_k = np.log1p(c_s0[:, 0])
+
+    def kl(r, m):
+        return [0.0 if -1e-12 < v < 0.0 else v for v in (_kl_axes(r, m) + 0.5 * log_k).tolist()]
+
+    return pareto_filter_triples_loop(list(zip(lams.tolist(), kl(r_p, m_p), kl(r_q, m_q))))
+
+
 class TestFrontierKLClosedForm:
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    @pytest.mark.parametrize("d,kind", EQUIVALENCE_CASES)
+    def test_blocks_match_the_one_pass(self, d, kind, side):
+        P, Q, _ = equivalence_pair(d, kind)
+        for grid_size in (2, 51, 201):
+            want = repr(frontier_kl_one_pass(P, Q, side, grid_size))
+            for rows in (None, 1, 7):  # the default block, one row per block, and ragged blocks
+                with rows_per_block(rows, d):
+                    assert repr(frontier_kl(P, Q, side, grid_size).points) == want, (grid_size, rows)
+
+    @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
+    def test_memory_is_bounded_by_the_blocks(self, side):
+        # a (grid x d) float array alone would be 39 MiB here
+        P, Q = (random_gaussian(np.random.default_rng(seed), 512) for seed in (1, 2))
+        tracemalloc.start()
+        try:
+            curve = frontier_kl(P, Q, side, MAX_GRID_SIZE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve.points) > 1
+        assert peak <= 96 * 2**20
+
     @pytest.mark.parametrize("side", [EXCLUSIVE, INCLUSIVE])
     @pytest.mark.parametrize("d,kind", EQUIVALENCE_CASES)
     def test_matches_bregman_loop(self, d, kind, side):

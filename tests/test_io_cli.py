@@ -20,6 +20,7 @@ from divfrontier import (
     Histogram,
     ParseError,
     distribution_to_json,
+    fit_gaussian,
     frontier,
     load_distribution,
     load_pipeline_config,
@@ -266,6 +267,30 @@ class TestCli:
         manifest = json.loads((tmp_path / "g.json.manifest.json").read_text())
         assert manifest["command"] == "fit"
         assert manifest["config"]["ridge"] == 1e-6
+
+    def test_fit_near_float_max_reloads(self, tmp_path, sample_csvs):
+        # a ridge of 1.7e308 once symmetrised to an inf covariance that the spec reader refused
+        out = tmp_path / "g.json"
+        assert main(["fit", "--samples", sample_csvs[0], "--ridge", "1.7e308", "--output", str(out)]) == 0
+        g = load_distribution(out)
+        assert np.isfinite(g.cov).all() and np.diag(g.cov).tolist() == [1.7e308, 1.7e308]
+        np.testing.assert_array_equal(g.cov, fit_gaussian(load_samples_csv(sample_csvs[0]), 1.7e308).cov)
+
+    def test_frontier_manifest_records_ridge(self, tmp_path, sample_csvs):
+        sp, sq = sample_csvs
+        out = tmp_path / "f.csv"
+        assert main(["frontier", "--p", sp, "--q", sq, "--alpha", "1", "--ridge", "0.1", "--output", str(out)]) == 0
+        assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["config"]["ridge"] == 0.1
+
+    @pytest.mark.parametrize("ridge", ["NaN", "Infinity", "-Infinity"])
+    def test_pipeline_config_ridge_outside_the_range_exits_1(self, tmp_path, sample_csvs, caplog, ridge):
+        sp, sq = sample_csvs
+        cfg = write(tmp_path / "cfg.json", f'{{"k_clusters": 5, "grid_size": 51, "ridge": {ridge}}}')
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["pipeline", "--p", sp, "--q", sq, "--config", cfg, "--output", str(out / "run")]) == 1
+        assert "ridge must be finite and nonnegative" in caplog.text
+        assert list(out.iterdir()) == []
 
     def test_frontier_histograms(self, tmp_path, hist_specs):
         p, q = hist_specs

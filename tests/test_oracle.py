@@ -27,6 +27,7 @@ from divfrontier import (
     realizable_pairs,
     renyi_gaussian,
 )
+from divfrontier import discrete_frontier as frontier_module
 from divfrontier import oracle as oracle_module
 from divfrontier.oracle import MAX_SIMPLEX_ENTRIES
 
@@ -237,15 +238,15 @@ class TestBlockedMeasures:
         # block entries from 1 (one curve row per block) up to more than the
         # whole array, so both one block and many are compared
         F = np.array(front, dtype=float)
-        saved = oracle_module._BLOCK_ENTRIES
-        oracle_module._BLOCK_ENTRIES = block
+        saved = frontier_module._BLOCK_ENTRIES  # the oracle blocks through discrete_frontier._row_blocks
+        frontier_module._BLOCK_ENTRIES = block
         try:
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 1e308 - -1e308
                 assert _same(max_dominance_violation(curve, F), broadcast_max_dominance_violation(curve, F))
                 if curve:
                     assert _same(hausdorff_linf(curve, front), broadcast_hausdorff_linf(curve, front))
         finally:
-            oracle_module._BLOCK_ENTRIES = saved
+            frontier_module._BLOCK_ENTRIES = saved
 
 
 class TestDominanceAgainstTheFront:
