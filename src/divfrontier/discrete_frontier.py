@@ -235,8 +235,7 @@ def frontier(
         lams = _geometric_lambda_grid(*_ratio_domain(p, q), grid_size)
     else:
         lams = np.linspace(0.0, 1.0, grid_size)
-        a = 1.0 if alpha.is_one else alpha.value
-        e = a if side == INCLUSIVE else 1.0 - a
+        e = alpha.value if side == INCLUSIVE else 1.0 - alpha.value
     divs = []
     for lam in _row_blocks(lams, len(p)):
         W = _geodesic_rows(p.probs, q.probs, lam) if alpha.is_infinity else _power_mean_rows(p.probs, q.probs, e, lam)

@@ -7,7 +7,8 @@ in the constructor, so downstream code can assume well-formed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,27 +31,23 @@ class Histogram:
         probs = np.asarray(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 1:
             raise ParameterError("histogram must be a 1-D vector with at least one entry")
-        if not np.all(np.isfinite(probs)):
+        low, top = probs.min(), probs.max()
+        if not (math.isfinite(low) and math.isfinite(top)):
             raise ParameterError("histogram entries must be finite")
-        if np.any(probs < 0):
+        if low < 0:
             raise ParameterError("histogram entries must be nonnegative")
-        total = probs.sum()
-        if total <= 0:
+        if top <= 0:
             raise ParameterError("histogram must have positive total mass")
-        if math.isinf(total):  # finite entries whose sum overflows
-            probs = probs / probs.max()
-            total = probs.sum()
-        probs = probs / total
+        if top > sys.float_info.max / (2 * probs.size):  # the sum may overflow; with room for its rounding
+            with np.errstate(over="ignore"):
+                if math.isinf(probs.sum()):  # finite entries whose sum overflows
+                    probs = probs / top
+        probs = probs / probs.sum()
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
     def __len__(self):
         return self.probs.size
-
-    @property
-    def support(self) -> np.ndarray:
-        """Boolean mask of entries carrying mass."""
-        return self.probs > 0.0
 
 
 def histograms_equal(p: Histogram, q: Histogram, tol: float = EQUALITY_TOL) -> bool:
@@ -62,87 +59,79 @@ def histograms_equal(p: Histogram, q: Histogram, tol: float = EQUALITY_TOL) -> b
 
 @dataclass(frozen=True)
 class Alpha:
-    """Order of a Renyi divergence, as an extended nonnegative real.
+    """Order of a Renyi divergence, a number in [0, inf].
 
-    The limits 0, 1 and infinity are distinct tags rather than floats so
-    that every limiting code path is explicit.
+    The limits 0, 1 and infinity have their own constructors and predicates
+    so that every limiting code path is explicit.
     """
 
-    kind: str  # "zero" | "one" | "infinity" | "finite"
-    value: float | None = None
-
-    _KINDS = ("zero", "one", "infinity", "finite")
+    value: float
 
     def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ParameterError(f"unknown alpha kind {self.kind!r}")
-        if self.kind == "finite":
-            v = self.value
-            if v is None or not np.isfinite(v) or v <= 0 or v == 1:
-                raise ParameterError(
-                    "finite alpha must be in (0,1) or (1,inf); use Alpha.one() "
-                    "or the limit tags for 0, 1, inf"
-                )
-        elif self.value is not None:
-            raise ParameterError(f"alpha kind {self.kind!r} takes no value")
+        try:
+            value = float(self.value)
+        except (TypeError, ValueError):
+            value = math.nan
+        if not 0.0 <= value <= math.inf:
+            raise ParameterError(f"alpha must be a number in [0, inf], got {self.value!r}")
+        object.__setattr__(self, "value", value)
 
     @classmethod
     def zero(cls) -> "Alpha":
-        return cls("zero")
+        return cls(0.0)
 
     @classmethod
     def one(cls) -> "Alpha":
-        return cls("one")
+        return cls(1.0)
 
     @classmethod
     def infinity(cls) -> "Alpha":
-        return cls("infinity")
+        return cls(math.inf)
 
     @classmethod
     def finite(cls, value: float) -> "Alpha":
-        return cls("finite", float(value))
+        value = float(value)
+        if not (0.0 < value < math.inf and value != 1.0):
+            raise ParameterError(
+                "finite alpha must be in (0,1) or (1,inf); use Alpha.one() "
+                "or the limit tags for 0, 1, inf"
+            )
+        return cls(value)
 
     @classmethod
     def parse(cls, text: str | float) -> "Alpha":
-        """Map '0', '1', 'inf' and positive decimals to the right tag."""
+        """Map '0', '1', 'inf' (or 'oo') and nonnegative decimals to an order."""
         if isinstance(text, str):
             text = text.strip().lower()
-            if text in ("inf", "infinity", "oo"):
-                return cls.infinity()
             try:
-                value = float(text)
+                text = math.inf if text == "oo" else float(text)
             except ValueError as exc:
                 raise ParameterError(f"cannot parse alpha {text!r}") from exc
-        else:
-            value = float(text)
-        if value == 0:
-            return cls.zero()
-        if value == 1:
-            return cls.one()
-        if np.isinf(value):
-            return cls.infinity()
-        return cls.finite(value)
+        return cls(text)
+
+    @property
+    def kind(self) -> str:
+        """'zero', 'one', 'infinity' or 'finite'."""
+        return {0.0: "zero", 1.0: "one", math.inf: "infinity"}.get(self.value, "finite")
 
     @property
     def is_zero(self):
-        return self.kind == "zero"
+        return self.value == 0.0
 
     @property
     def is_one(self):
-        return self.kind == "one"
+        return self.value == 1.0
 
     @property
     def is_infinity(self):
-        return self.kind == "infinity"
+        return self.value == math.inf
 
     @property
     def is_finite(self):
         return self.kind == "finite"
 
     def __str__(self):
-        if self.kind == "finite":
-            return repr(self.value)
-        return {"zero": "0", "one": "1", "infinity": "inf"}[self.kind]
+        return {0.0: "0", 1.0: "1", math.inf: "inf"}.get(self.value, repr(self.value))
 
 
 @dataclass(frozen=True)

@@ -1,18 +1,14 @@
 """Closed-form divergence evaluations.
 
 Discrete Renyi divergences of any order (including the 0, 1 and infinity
-limits), Gaussian Renyi/KL in closed form from one whitened pair as
-per-axis sums, and exponential-family KL as a Bregman divergence of the
-log-partition function.
+limits) and Gaussian Renyi/KL in closed form from one whitened pair as
+per-axis sums.
 
 Conventions: 0^a = 0 for a > 0 and 0*log(0/q) = 0, so zero-mass entries
 never contribute; a support violation is detected explicitly and returns
 +inf, which is a first-class value here.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -27,21 +23,6 @@ from .distributions import (
 from .errors import DivergenceUndefinedError, ParameterError
 
 INF = float("inf")
-
-
-@dataclass(frozen=True)
-class ExpFamilySpec:
-    """An exponential family given by its log-partition function A.
-
-    ``grad_log_partition`` maps natural to mean parameters and
-    ``inv_grad_log_partition`` is its inverse (the two Legendre-dual
-    coordinate maps); they must round-trip within 1e-8 on the valid domain.
-    """
-
-    log_partition: Callable[[np.ndarray], float]
-    grad_log_partition: Callable[[np.ndarray], np.ndarray]
-    inv_grad_log_partition: Callable[[np.ndarray], np.ndarray]
-    param_dim: int
 
 
 def logsumexp(x, axis=None):
@@ -124,7 +105,8 @@ def _whitened_pair(P: GaussianParams, Q: GaussianParams) -> tuple[np.ndarray, np
     precision leave some t or s at or below 0 and raise ParameterError.
     """
     check_same_dim(P, Q)
-    chol = np.linalg.cholesky(P.cov + Q.cov)
+    # quarter, then double: exact scalings that keep a sum above ~9e307 finite
+    chol = 2.0 * np.linalg.cholesky(0.25 * P.cov + 0.25 * Q.cov)
     wp, wq = (np.linalg.solve(chol, np.linalg.solve(chol, cov).T) for cov in (P.cov, Q.cov))
     u = np.linalg.eigh(0.5 * (wp + wp.T))[1]
     # both Rayleigh quotients, since 1 - t loses a tiny s
@@ -162,15 +144,22 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
         return kl_gaussian(P, Q)
     if alpha.is_zero:
         return 0.0  # Gaussians have full support
-    if alpha.is_infinity and P.dim != 1:
-        raise DivergenceUndefinedError("alpha=inf Gaussian divergence is only available in 1-D")
+    if alpha.is_infinity:
+        if P.dim != 1:
+            raise DivergenceUndefinedError("alpha=inf Gaussian divergence is only available in 1-D")
+        # log(p/q) is a quadratic, concave with its vertex at this value iff
+        # var_P < var_Q; the raw gap var_Q - var_P is exact for close variances
+        # (Sterbenz), where the whitened gap s - t keeps few of its digits
+        (vp,), (vq,) = P.cov[0], Q.cov[0]
+        with np.errstate(over="ignore"):  # a value beyond float range is inf
+            delta = abs(P.mean[0] - Q.mean[0])
+            if vp >= vq:
+                return 0.0 if vp == vq and delta == 0.0 else INF
+            # log(var_Q / var_P), neither cancelling for close variances nor overflowing for far ones
+            log_r = np.log1p((vq - vp) / vp) if vq < 2.0 * vp else np.log(vq) - np.log(vp)
+            return _clip_nonneg(0.5 * log_r + 0.5 * delta * (delta / (vq - vp)))
     t, s, d2 = _whitened_pair(P, Q)
     r = s / t
-    if alpha.is_infinity:
-        # log(p/q) is a quadratic, concave with its vertex at this value iff t < s
-        if t[0] >= s[0]:
-            return 0.0 if t[0] == s[0] and d2[0] == 0.0 else INF
-        return _clip_nonneg(0.5 * np.log(r[0]) + d2[0] / (2.0 * (s[0] - t[0])))
     a = alpha.value
     # the interpolated covariance is diag(t * (1 + a (r - 1))) on these axes
     k = a * (r - 1.0)
@@ -181,21 +170,3 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
     value = np.sum(a * d2 / (2.0 * t * (1.0 + k))) - np.sum(np.log1p(k) - a * np.log(r)) / (2.0 * (a - 1.0))
     return _clip_nonneg(value)
 
-
-def bregman_kl(theta: np.ndarray, theta_prime: np.ndarray, fam: ExpFamilySpec) -> float:
-    """KL between family members as the Bregman divergence of A:
-    A(theta') - A(theta) - grad A(theta) . (theta' - theta).
-    """
-    theta = np.asarray(theta, dtype=float)
-    theta_prime = np.asarray(theta_prime, dtype=float)
-    if theta.shape != (fam.param_dim,) or theta_prime.shape != (fam.param_dim,):
-        raise ParameterError(
-            f"natural parameters must be vectors of length {fam.param_dim}"
-        )
-    grad = fam.grad_log_partition(theta)
-    value = (
-        fam.log_partition(theta_prime)
-        - fam.log_partition(theta)
-        - float(np.dot(grad, theta_prime - theta))
-    )
-    return _clip_nonneg(value)

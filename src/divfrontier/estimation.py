@@ -23,6 +23,8 @@ from .errors import InsufficientDataError, ParameterError
 from .expfam_frontier import frontier_kl, kl_endpoints
 
 SMOOTHING_EPS = 1e-10  # additive smoothing for quantized histograms
+LLOYD_MAX_ITER = 300  # Lloyd stops after this many iterations,
+LLOYD_TOL = 1e-6  # or once the relative inertia change drops below this
 BLOCK_ENTRIES = 250_000  # cap on a query x anchor distance block (~2 MB of float64)
 KD_TREE_MAX_DIM = 12  # kNN radii from a k-d tree up to this dimension, distance blocks above
 
@@ -124,12 +126,12 @@ def _kmeans_pp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np
     return centers
 
 
-def _lloyd(samples: np.ndarray, centers: np.ndarray, max_iter: int = 300, tol: float = 1e-6):
-    """Lloyd iterations until the relative inertia change drops below tol."""
+def _lloyd(samples: np.ndarray, centers: np.ndarray):
+    """Lloyd iterations until the relative inertia change drops below LLOYD_TOL."""
     k = centers.shape[0]
     columns = np.ascontiguousarray(samples.T)
     prev_inertia = np.inf
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         labels, best = _nearest(samples, centers)
         inertia = float(best.sum())
         # bincount adds each cluster's rows in sample order, as a per-cluster
@@ -139,7 +141,7 @@ def _lloyd(samples: np.ndarray, centers: np.ndarray, max_iter: int = 300, tol: f
         live = counts > 0
         centers[live] = sums[live] / counts[live, None]
         if prev_inertia < np.inf and prev_inertia > 0:
-            if abs(prev_inertia - inertia) / prev_inertia < tol:
+            if abs(prev_inertia - inertia) / prev_inertia < LLOYD_TOL:
                 break
         prev_inertia = inertia
     return centers, labels

@@ -1,4 +1,12 @@
-"""KL (alpha = 1) frontiers within an exponential family.
+"""Exponential families and their KL (alpha = 1) frontiers.
+
+A family is given by its log-partition A (:class:`ExpFamilySpec`). Its two
+coordinate systems are the natural parameters theta and the mean parameters
+eta = grad A(theta), and KL between members is the Bregman divergence of A
+(:func:`bregman_kl`). The Gaussian family packs theta as
+(Sigma^-1 mu, vec(-1/2 Sigma^-1)) with the full symmetric matrix stored
+row-major, so a d-dimensional Gaussian has param_dim d + d*d; the Bernoulli
+family (A(theta) = log(1 + e^theta)) is a second, scalar test family.
 
 The exclusive path interpolates linearly in natural coordinates; the
 inclusive path interpolates in moment coordinates and maps back through
@@ -10,14 +18,163 @@ pair, as per-axis sums.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_grid_size, _check_lambda_unit, _check_side
 from .discrete_frontier import _pareto_filter_triples, _row_blocks
 from .distributions import Alpha, GaussianParams
-from .divergences import INF, ExpFamilySpec, _clip_nonneg, _kl_axes, _whitened_pair
+from .divergences import INF, _clip_nonneg, _kl_axes, _whitened_pair
 from .errors import ParameterError
-from .expfamily import NaturalParams
+
+
+@dataclass(frozen=True)
+class ExpFamilySpec:
+    """An exponential family given by its log-partition function A.
+
+    ``grad_log_partition`` maps natural to mean parameters and
+    ``inv_grad_log_partition`` is its inverse (the two Legendre-dual
+    coordinate maps); they must round-trip within 1e-8 on the valid domain.
+    """
+
+    log_partition: Callable[[np.ndarray], float]
+    grad_log_partition: Callable[[np.ndarray], np.ndarray]
+    inv_grad_log_partition: Callable[[np.ndarray], np.ndarray]
+    param_dim: int
+
+
+@dataclass(frozen=True)
+class NaturalParams:
+    """Natural parameter vector theta of an exponential family."""
+
+    theta: np.ndarray
+
+    def __post_init__(self):
+        theta = np.asarray(self.theta, dtype=float)
+        if theta.ndim != 1 or not np.all(np.isfinite(theta)):
+            raise ParameterError("natural parameters must be a finite vector")
+        theta.setflags(write=False)
+        object.__setattr__(self, "theta", theta)
+
+
+@dataclass(frozen=True)
+class MomentParams:
+    """Mean parameter vector eta = grad A(theta)."""
+
+    eta: np.ndarray
+
+    def __post_init__(self):
+        eta = np.asarray(self.eta, dtype=float)
+        if eta.ndim != 1 or not np.all(np.isfinite(eta)):
+            raise ParameterError("moment parameters must be a finite vector")
+        eta.setflags(write=False)
+        object.__setattr__(self, "eta", eta)
+
+
+def _unpack_gaussian_theta(theta: np.ndarray, d: int):
+    theta1 = theta[:d]
+    theta2 = theta[d:].reshape(d, d)
+    theta2 = 0.5 * (theta2 + theta2.T)
+    return theta1, theta2
+
+
+def _gaussian_dim(param_dim: int) -> int:
+    # param_dim = d + d^2
+    d = int(round((np.sqrt(1 + 4 * param_dim) - 1) / 2))
+    if d + d * d != param_dim:
+        raise ParameterError(f"{param_dim} is not a Gaussian natural-parameter length")
+    return d
+
+
+def gaussian_to_natural(g: GaussianParams) -> NaturalParams:
+    """theta = (Sigma^-1 mu, vec(-1/2 Sigma^-1))."""
+    prec = np.linalg.inv(g.cov)
+    prec = 0.5 * (prec + prec.T)
+    return NaturalParams(np.concatenate([prec @ g.mean, (-0.5 * prec).ravel()]))
+
+
+def natural_to_gaussian(theta: NaturalParams) -> GaussianParams:
+    """Inverse of :func:`gaussian_to_natural`; a precision -2 Theta2 that is
+    not positive definite raises ParameterError."""
+    d = _gaussian_dim(theta.theta.size)
+    theta1, theta2 = _unpack_gaussian_theta(theta.theta, d)
+    try:
+        cov = np.linalg.inv(-2.0 * theta2)
+    except np.linalg.LinAlgError as exc:
+        raise ParameterError("natural parameters give a singular precision") from exc
+    cov = 0.5 * (cov + cov.T)
+    return GaussianParams(cov @ theta1, cov)
+
+
+def gaussian_family(d: int) -> ExpFamilySpec:
+    """The d-dimensional Gaussian exponential family, with eta = (mu, vec of
+    the second moment Sigma + mu mu').
+
+    A(theta) = 1/2 mu' Prec mu - 1/2 logdet(Prec) + d/2 log(2 pi) with
+    Prec = -2 Theta2 and mu = Prec^-1 theta1, computed via Cholesky. The
+    coordinate maps go through :class:`GaussianParams`, so a theta or eta
+    outside the family raises ParameterError.
+    """
+
+    def log_partition(theta: np.ndarray) -> float:
+        theta1, theta2 = _unpack_gaussian_theta(theta, d)
+        chol = np.linalg.cholesky(-2.0 * theta2)
+        half = np.linalg.solve(chol, theta1)
+        logdet_prec = 2.0 * float(np.sum(np.log(np.diag(chol))))
+        return 0.5 * float(np.dot(half, half)) - 0.5 * logdet_prec + 0.5 * d * np.log(2.0 * np.pi)
+
+    def grad_log_partition(theta: np.ndarray) -> np.ndarray:
+        g = natural_to_gaussian(NaturalParams(theta))
+        return np.concatenate([g.mean, (g.cov + np.outer(g.mean, g.mean)).ravel()])
+
+    def inv_grad_log_partition(eta: np.ndarray) -> np.ndarray:
+        mean = eta[:d]
+        return gaussian_to_natural(GaussianParams(mean, eta[d:].reshape(d, d) - np.outer(mean, mean))).theta
+
+    return ExpFamilySpec(log_partition, grad_log_partition, inv_grad_log_partition, d + d * d)
+
+
+def bernoulli_family() -> ExpFamilySpec:
+    """Bernoulli family with success log-odds theta."""
+
+    def log_partition(theta: np.ndarray) -> float:
+        return float(np.logaddexp(0.0, theta[0]))
+
+    def grad_log_partition(theta: np.ndarray) -> np.ndarray:
+        return np.array([1.0 / (1.0 + np.exp(-theta[0]))])
+
+    def inv_grad_log_partition(eta: np.ndarray) -> np.ndarray:
+        p = eta[0]
+        if not 0.0 < p < 1.0:
+            raise ParameterError("Bernoulli moment parameter must be in (0,1)")
+        return np.array([np.log(p) - np.log1p(-p)])
+
+    return ExpFamilySpec(log_partition, grad_log_partition, inv_grad_log_partition, 1)
+
+
+def natural_to_moment(theta: NaturalParams, fam: ExpFamilySpec) -> MomentParams:
+    """eta = grad A(theta)."""
+    return MomentParams(fam.grad_log_partition(theta.theta))
+
+
+def moment_to_natural(eta: MomentParams, fam: ExpFamilySpec) -> NaturalParams:
+    """theta = (grad A)^-1(eta)."""
+    return NaturalParams(fam.inv_grad_log_partition(eta.eta))
+
+
+def bregman_kl(theta: np.ndarray, theta_prime: np.ndarray, fam: ExpFamilySpec) -> float:
+    """KL between family members as the Bregman divergence of A:
+    A(theta') - A(theta) - grad A(theta) . (theta' - theta).
+    """
+    theta = np.asarray(theta, dtype=float)
+    theta_prime = np.asarray(theta_prime, dtype=float)
+    if theta.shape != (fam.param_dim,) or theta_prime.shape != (fam.param_dim,):
+        raise ParameterError(f"natural parameters must be vectors of length {fam.param_dim}")
+    grad = fam.grad_log_partition(theta)
+    value = fam.log_partition(theta_prime) - fam.log_partition(theta) - float(np.dot(grad, theta_prime - theta))
+    return _clip_nonneg(value)
 
 
 def expfam_curve_point(

@@ -131,8 +131,7 @@ def certify_frontier(
     and the Hausdorff distance to the grid frontier (tolerance 5/m).
     """
     grid = enumerate_simplex(len(p), m)
-    pairs = realizable_pairs(p, q, alpha, side, grid)
-    oracle_front = pareto_filter(pairs)
+    oracle_front = brute_force_frontier(p, q, alpha, side, grid)
     curve_pairs = np.asarray(curve.points, dtype=float).reshape(-1, 3)[:, 1:]
     finite = curve_pairs[np.isfinite(curve_pairs).all(axis=1)]
     # every grid pair the filter drops is strictly beaten in both

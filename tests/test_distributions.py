@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -49,6 +52,41 @@ class TestHistogram:
         assert abs(h.probs.sum() - 1.0) <= 1e-12
         assert np.all(h.probs >= 0)
 
+    def test_normalizes_an_overflowing_total_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_array_equal(Histogram([1e308, 1e308]).probs, [0.5, 0.5])
+
+    @given(
+        st.lists(
+            st.one_of(st.just(0.0), st.floats(0.0, 1e-300), st.floats(0.0, 1e6), st.floats(1e300, 1.7976931348623157e308)),
+            min_size=1,
+            max_size=20,
+        ).filter(any)
+    )
+    def test_bits_match_the_sum_first_normalisation(self, xs):
+        # the former constructor: always sum first, and scale by the maximum
+        # only when that sum overflowed
+        probs = np.array(xs, dtype=float)
+        with np.errstate(over="ignore"):
+            if math.isinf(probs.sum()):
+                probs = probs / probs.max()
+        assert Histogram(xs).probs.tobytes() == (probs / probs.sum()).tobytes()
+
+    @pytest.mark.parametrize(
+        "xs,message",
+        [
+            ([1.0, float("nan")], "finite"),
+            ([-1.0, float("inf")], "finite"),
+            ([float("-inf"), 1.0], "finite"),
+            ([-1.0, 2.0], "nonnegative"),
+            ([0.0, -0.0], "positive total mass"),
+        ],
+    )
+    def test_checks_in_order(self, xs, message):
+        with pytest.raises(ParameterError, match=message):
+            Histogram(xs)
+
     def test_equality_tolerance(self):
         p = Histogram([0.5, 0.5])
         q = Histogram([0.5 + 1e-13, 0.5 - 1e-13])
@@ -78,6 +116,28 @@ class TestAlpha:
     def test_parse_garbage(self):
         with pytest.raises(ParameterError):
             Alpha.parse("banana")
+
+    def test_one_number(self):
+        assert [Alpha.zero().value, Alpha.one().value, Alpha.infinity().value] == [0.0, 1.0, math.inf]
+        assert Alpha.parse("2") == Alpha.finite(2.0) == Alpha(2.0) and Alpha.parse("oo") == Alpha.infinity()
+        assert Alpha(2).kind == "finite" and isinstance(Alpha(2).value, float)
+        with pytest.raises(TypeError):
+            Alpha("finite", 2.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -1.0, -math.inf, "banana", None, "nan", "-1", "-inf"])
+    def test_rejects_what_is_not_in_zero_to_infinity(self, bad):
+        with pytest.raises(ParameterError):
+            Alpha(bad)
+        with pytest.raises(ParameterError):
+            Alpha.parse(bad)
+
+    @pytest.mark.parametrize(
+        "text,expected",
+        [("0", "0"), ("1", "1"), ("inf", "inf"), ("2", "2.0"), ("0.5", "0.5"), ("1e4", "10000.0"), ("1e-3", "0.001")],
+    )
+    def test_str_names_outputs(self, text, expected):
+        # manifests and frontier_alpha<str>.csv names use this text
+        assert str(Alpha.parse(text)) == expected
 
 
 class TestGaussianParams:

@@ -1,3 +1,5 @@
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -717,3 +719,53 @@ class TestGaussianWhitenedEquivalence:
         d2 = (u.T @ np.linalg.solve(chol, P.mean - Q.mean)) ** 2
         got = _whitened_pair(P, Q)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in (t, s, d2)]
+
+
+# 1-D pairs for D_inf beyond the equivalence fixtures: close, moderate and
+# far variances (a ratio of 1e600 overflows var_Q / var_P), both orders
+INFINITY_1D_PAIRS = [
+    ((0.0, 0.3), (1.0, float(np.nextafter(0.3, 1.0)))),
+    ((0.0, 0.3), (0.0, float(np.nextafter(0.3, 1.0)))),
+    ((0.0, 1.0), (0.3, 1.99)),
+    ((0.0, 1.0), (0.3, 2.5)),
+    ((-2.0, 1e-10), (0.3, 7e250)),
+    ((0.0, 1e-300), (1.0, 1e300)),
+    ((5.0, 1e300), (-5.0, 1.7e308)),
+]
+
+
+class TestGaussianInfinityRawVariances:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pair", INFINITY_1D_PAIRS)
+    def test_matches_mpmath_to_1e12(self, pair):
+        # the whitened gap s - t kept ~1 digit on the close pairs: 5.0e15 for 9.007e15
+        P, Q = (GaussianParams([m], [[v]]) for m, v in pair)
+        for A, B in ((P, Q), (Q, P)):
+            got = renyi_gaussian(A, B, Alpha.infinity())
+            want = mp_gaussian_renyi(A, B, [Alpha.infinity()])[0]
+            if want == 0 or want == mpmath.inf:
+                assert got == want
+            else:
+                assert abs(got - float(want)) <= 1e-12 * float(want), (got, float(want))
+
+    @pytest.mark.parametrize(
+        "pair", [((-1e308, 1.0), (1e308, 2.0)), ((0.0, 1e-300), (1e200, 1.0)), ((0.0, 1e-300), (1e10, 2e-300))]
+    )
+    def test_out_of_range_is_inf_without_warning(self, pair):
+        P, Q = (GaussianParams([m], [[v]]) for m, v in pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert renyi_gaussian(P, Q, Alpha.infinity()) == INF
+
+
+def test_whitened_pair_near_float_max():
+    # Sigma_P + Sigma_Q overflowed to inf, and the pair was refused as singular
+    G = GaussianParams([0.0], [[1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kl_gaussian(G, G) == 0.0 and kl_endpoints(G, G) == (0.0, 0.0)
+        # KL is invariant under scaling both covariances and the offset together
+        S, m = np.array([[1.7, 1.0], [1.0, 1.7]]), np.array([1e10, -1e10])
+        want = kl_gaussian(GaussianParams(m * 1e-154, S), GaussianParams([0.0, 0.0], S))
+        got = kl_gaussian(GaussianParams(m, 1e308 * S), GaussianParams([0.0, 0.0], 1e308 * S))
+        assert got == pytest.approx(want, rel=1e-12)

@@ -30,6 +30,30 @@ from divfrontier.divergences import _kl_axes, _whitened_pair
 from tests.conftest import conditioned_gaussian, pareto_filter_triples_loop, random_gaussian, rows_per_block
 
 
+def former_gaussian_maps(d):
+    """The Gaussian family's gradient and inverse gradient as they were
+    written before they went through GaussianParams."""
+
+    def unpack(theta):
+        theta2 = theta[d:].reshape(d, d)
+        return theta[:d], 0.5 * (theta2 + theta2.T)
+
+    def grad(theta):
+        theta1, theta2 = unpack(theta)
+        cov = np.linalg.inv(-2.0 * theta2)
+        mean = cov @ theta1
+        return np.concatenate([mean, (cov + np.outer(mean, mean)).ravel()])
+
+    def inv_grad(eta):
+        mean = eta[:d]
+        cov = eta[d:].reshape(d, d) - np.outer(mean, mean)
+        prec = np.linalg.inv(0.5 * (cov + cov.T))
+        prec = 0.5 * (prec + prec.T)
+        return np.concatenate([prec @ mean, (-0.5 * prec).ravel()])
+
+    return grad, inv_grad
+
+
 class TestParameterMaps:
     def test_standard_normal_coordinates(self):
         theta = gaussian_to_natural(GaussianParams([1.0], [[1.0]]))
@@ -69,6 +93,42 @@ class TestParameterMaps:
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError):
             NaturalParams([np.nan])
+
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    @pytest.mark.parametrize("cond", [None, 1e4, 1e8])
+    def test_gaussian_maps_match_the_former_closures(self, d, cond):
+        # the maps now go through natural_to_gaussian and gaussian_to_natural;
+        # the mean comes from the symmetrised covariance, where the former
+        # gradient used the raw inverse, so it moves by about cond * eps
+        grad, inv_grad = former_gaussian_maps(d)
+        fam = gaussian_family(d)
+        rng = np.random.default_rng([d, 0 if cond is None else int(np.log10(cond))])
+        for _ in range(20):
+            g = random_gaussian(rng, d) if cond is None else conditioned_gaussian(rng, d, cond)
+            theta = gaussian_to_natural(g).theta
+            want = grad(theta)
+            got = fam.grad_log_partition(theta)
+            tol = 4 * d * np.finfo(float).eps * (10.0 if cond is None else cond)
+            assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+            assert fam.inv_grad_log_partition(want).tobytes() == inv_grad(want).tobytes()
+
+    @pytest.mark.parametrize(
+        "theta", [[0.0, 0.5], [0.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0, -1.0], [0.0, 0.0, -0.5, -1.0, -1.0, -0.5]]
+    )
+    def test_theta_outside_the_family_raises(self, theta):
+        # a precision -2 Theta2 that is indefinite or singular
+        d = 1 if len(theta) == 2 else 2
+        with pytest.raises(ParameterError):
+            natural_to_moment(NaturalParams(theta), gaussian_family(d))
+        with pytest.raises(ParameterError):
+            natural_to_gaussian(NaturalParams(theta))
+
+    @pytest.mark.parametrize("eta", [[1.0, 0.5], [1.0, 1.0], [0.0, 0.0, 1.0, 2.0, 2.0, 1.0]])
+    def test_eta_outside_the_family_raises(self, eta):
+        # a covariance second moment - mean mean' that is negative, zero or indefinite
+        d = 1 if len(eta) == 2 else 2
+        with pytest.raises(ParameterError):
+            moment_to_natural(MomentParams(eta), gaussian_family(d))
 
 
 class TestCurvePoint:

@@ -282,6 +282,30 @@ class TestCli:
         assert main(["frontier", "--p", sp, "--q", sq, "--alpha", "1", "--ridge", "0.1", "--output", str(out)]) == 0
         assert json.loads((tmp_path / "f.csv.manifest.json").read_text())["config"]["ridge"] == 0.1
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_endpoints_near_float_max(self, tmp_path, sample_csvs):
+        # Sigma_P + Sigma_Q overflowed in the whitening, which then refused the pair as singular
+        g, out = tmp_path / "g.json", tmp_path / "e.csv"
+        assert main(["fit", "--samples", sample_csvs[0], "--ridge", "1.7e308", "--output", str(g)]) == 0
+        assert main(["endpoints", "--p", str(g), "--q", str(g), "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "0.0,0.0"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_pipeline_ridge_near_float_max(self, tmp_path, sample_csvs):
+        sp, sq = sample_csvs
+        cfg = write(tmp_path / "cfg.json", '{"k_clusters": 5, "grid_size": 51, "ridge": 1e308}')
+        assert main(["pipeline", "--p", sp, "--q", sq, "--config", cfg, "--output", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert 0.0 <= report["precision_loss"] < 1e-300 and 0.0 <= report["recall_loss"] < 1e-300
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", [["frontier", "--alpha", "2", "--alpha", "inf"], ["prd"]])
+    def test_histogram_whose_total_overflows(self, tmp_path, command):
+        # Histogram handled the overflowing sum, but warned "overflow encountered in reduce"
+        p = write(tmp_path / "p.json", '{"type": "histogram", "probs": [1e308, 1e308, 1.0]}')
+        q = write(tmp_path / "q.json", '{"type": "histogram", "probs": [0.25, 0.75, 0.5]}')
+        assert main([command[0], "--p", p, "--q", q, *command[1:], "--output", str(tmp_path / "out.csv")]) == 0
+
     @pytest.mark.parametrize("ridge", ["NaN", "Infinity", "-Infinity"])
     def test_pipeline_config_ridge_outside_the_range_exits_1(self, tmp_path, sample_csvs, caplog, ridge):
         sp, sq = sample_csvs

@@ -299,6 +299,16 @@ class TestCertifyFrontier:
         # realizable region, so the dominance check fires too
         assert verdict["max_dominance_violation"] > 2.0 / 40
 
+    def test_filters_the_grid_once_through_the_brute_force_frontier(self, monkeypatch):
+        p, q, alpha = Histogram([0.5, 0.3, 0.2]), Histogram([0.2, 0.3, 0.5]), Alpha.finite(2)
+        curve = frontier(p, q, alpha, EXCLUSIVE, 201)
+        calls = {"brute_force_frontier": [], "pareto_filter": []}
+        for name, log in calls.items():
+            real = getattr(oracle_module, name)
+            monkeypatch.setattr(oracle_module, name, lambda *args, _real=real, _log=log: _log.append(1) or _real(*args))
+        verdict = certify_frontier(p, q, alpha, EXCLUSIVE, curve, m=40)
+        assert verdict["pass"] and calls == {"brute_force_frontier": [1], "pareto_filter": [1]}
+
 
 class TestDivergenceQuadrature:
     def test_identity(self):
