@@ -151,8 +151,9 @@ class GaussianParams:
             raise DimensionError(f"cov must be {d}x{d}, got {cov.shape}")
         if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))):
             raise ParameterError("Gaussian parameters must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-            raise ParameterError("covariance is not symmetric within 1e-10")
+        # relative to the largest entry, so one ulp of asymmetry passes at any scale
+        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(cov)))):
+            raise ParameterError("covariance is not symmetric within 1e-10 of max(1, its largest entry)")
         cov = 0.5 * cov + 0.5 * cov.T  # not 0.5 * (cov + cov.T), which overflows near float max
         try:
             np.linalg.cholesky(cov)

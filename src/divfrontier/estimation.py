@@ -4,10 +4,17 @@ Implements the two practical evaluation recipes: fit Gaussians to each
 sample set and read off the KL frontier/endpoints, or pool the samples,
 quantize with k-means, and compare the cluster-assignment histograms. The
 k-nearest-neighbour support metrics cover the alpha -> 0 limiting case.
+
+Distances come from the product form |x|^2 - 2 x.c + |c|^2 in blocks of at
+most BLOCK_ENTRIES entries, center-major for k-means; decisions within its
+rounding fall to the explicit difference form, so labels and coverage are
+exact. Up to KD_TREE_MAX_DIM, each sample set's k-d tree gives its kNN
+radii and the other set's candidate pairs, which are measured explicitly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -55,29 +62,60 @@ def _sqdist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0, out=d2)
 
 
-def _tie_band(x: np.ndarray, c: np.ndarray) -> float:
-    """Gap below which _sqdist's rounding could flip a comparison. It is far
-    above that rounding error, so every decision outside the band is exact;
-    decisions inside it are left to the explicit difference form."""
-    return 1e-9 * float((x * x).sum(axis=1).max() + (c * c).sum(axis=1).max())
+def _tie_band(x_sq_max, c_sq_max) -> float:
+    """Gap below which _sqdist's rounding could flip a comparison, from the
+    largest squared norms of the rows of x and of c. It is far above that
+    rounding error, so every decision outside the band is exact; decisions
+    inside it are left to the explicit difference form."""
+    return 1e-9 * float(x_sq_max + c_sq_max)
 
 
-def _nearest(x: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the nearest row of c for each row of x, and its squared distance.
+class _NearestCenter:
+    """Index of the nearest of k centers for each row of a fixed sample
+    matrix, and its squared distance.
 
-    Rows whose two smallest distances lie within the tie band are settled
-    by the explicit difference form, so the labels are those of an exact
-    argmin: the lowest index on ties.
+    |x|^2 and its maximum are computed once per sample matrix. Distances
+    are laid out center-major, in (k, w) blocks of at most BLOCK_ENTRIES
+    entries in one reused buffer, so the minimum over the centers runs
+    along the long axis. Columns with more than one entry within the tie
+    band of their minimum are settled by the explicit difference form, so
+    the labels are those of an exact argmin: the lowest index on ties. The
+    squared distance is the product form's minimum, clamped at 0; only it,
+    and so Lloyd's inertia, sees the product's rounding.
     """
-    d2 = _sqdist(x, c)
-    labels = d2.argmin(axis=1)
-    best = d2[np.arange(x.shape[0]), labels]
-    close = d2 <= (best + _tie_band(x, c))[:, None]
-    # every row has its own minimum close; count per row only if some has more
-    if np.count_nonzero(close) > x.shape[0]:
-        for i in np.flatnonzero(np.count_nonzero(close, axis=1) > 1):
-            labels[i] = ((x[i] - c) ** 2).sum(axis=1).argmin()
-    return labels, best
+
+    def __init__(self, samples: np.ndarray, k: int):
+        self.samples = samples
+        self.sq = (samples * samples).sum(axis=1)
+        self.sq_max = self.sq.max()
+        self.width = min(samples.shape[0], max(1, BLOCK_ENTRIES // k))
+        self.block = np.empty(k * self.width)
+        # against a 0/1 column: the index of its one 1, and the number of 1s
+        self.tally = np.vstack([np.arange(k), np.ones(k)])
+
+    def __call__(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        k, n = centers.shape[0], self.samples.shape[0]
+        cc = (centers * centers).sum(axis=1)
+        band = _tie_band(self.sq_max, cc.max())
+        cc = cc[:, None]
+        labels = np.empty(n, dtype=np.intp)
+        best = np.empty(n)
+        for start in range(0, n, self.width):
+            stop = min(start + self.width, n)
+            a = self.block[:k * (stop - start)].reshape(k, -1)
+            # the samples as a transposed view, like c.T in _sqdist; with a
+            # contiguous copy BLAS rounds many more entries unlike _sqdist
+            np.matmul(centers, self.samples[start:stop].T, out=a)
+            a *= -2.0
+            a += self.sq[start:stop]
+            a += cc
+            low = np.maximum(a.min(axis=0), 0.0, out=best[start:stop])
+            close = np.less_equal(a, low + band, out=a)  # 1.0 within the band, in place
+            index, count = self.tally @ close
+            labels[start:stop] = index
+            for j in np.flatnonzero(count > 1):
+                labels[start + j] = ((self.samples[start + j] - centers) ** 2).sum(axis=1).argmin()
+        return labels, best
 
 
 @dataclass(frozen=True)
@@ -89,7 +127,7 @@ class QuantizationModel:
     seed: int
 
     def assign(self, samples) -> np.ndarray:
-        return _nearest(as_sample_matrix(samples), self.centers)[0]
+        return _NearestCenter(as_sample_matrix(samples), self.k)(self.centers)[0]
 
 
 def fit_gaussian(samples, ridge: float = 0.0) -> GaussianParams:
@@ -129,10 +167,11 @@ def _kmeans_pp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np
 def _lloyd(samples: np.ndarray, centers: np.ndarray):
     """Lloyd iterations until the relative inertia change drops below LLOYD_TOL."""
     k = centers.shape[0]
+    nearest = _NearestCenter(samples, k)
     columns = np.ascontiguousarray(samples.T)
     prev_inertia = np.inf
     for _ in range(LLOYD_MAX_ITER):
-        labels, best = _nearest(samples, centers)
+        labels, best = nearest(centers)
         inertia = float(best.sum())
         # bincount adds each cluster's rows in sample order, as a per-cluster
         # mean over axis 0 does for d >= 2; empty clusters keep their center
@@ -192,26 +231,38 @@ def knn_support_metrics(samples_p, samples_q, k: int = 3) -> tuple[float, float]
     for name, s in (("P", samples_p), ("Q", samples_q)):
         if k >= s.shape[0]:
             raise ParameterError(f"k={k} must be smaller than the {name} sample count {s.shape[0]}")
-    precision = _fraction_covered(samples_p, samples_q, k)
-    recall = _fraction_covered(samples_q, samples_p, k)
+    tree_p, tree_q = _kd_tree(samples_p), _kd_tree(samples_q)
+    radii_p = _knn_radii(samples_p, k, tree_p)
+    radii_q = _knn_radii(samples_q, k, tree_q)
+    precision = _fraction_covered(samples_p, radii_p, samples_q, tree_q)
+    recall = _fraction_covered(samples_q, radii_q, samples_p, tree_p)
     return precision, recall
 
 
-def _knn_radii(anchors: np.ndarray, k: int) -> np.ndarray:
+def _kd_tree(samples: np.ndarray):
+    """A k-d tree over the samples up to KD_TREE_MAX_DIM, None above."""
+    if samples.shape[1] > KD_TREE_MAX_DIM:
+        return None
+    from scipy.spatial import cKDTree
+
+    return cKDTree(samples)
+
+
+def _knn_radii(anchors: np.ndarray, k: int, tree) -> np.ndarray:
     """Distance from each anchor to its k-th nearest neighbour among the others.
 
     Each anchor is its own nearest neighbour, so this is the (k+1)-th
-    smallest distance. Above KD_TREE_MAX_DIM the k+1 smallest entries of
-    each blocked _sqdist row are measured again by the explicit difference
-    form; a row with more than k+1 entries within the tie band of its
-    (k+1)-th measures every entry in the band instead.
+    smallest distance, read from the anchors' k-d tree if there is one.
+    Without one, the k+1 smallest entries of each blocked _sqdist row are
+    measured again by the explicit difference form; a row with more than
+    k+1 entries within the tie band of its (k+1)-th measures every entry in
+    the band instead.
     """
-    n, d = anchors.shape
-    if d <= KD_TREE_MAX_DIM:
-        from scipy.spatial import cKDTree
-
-        return cKDTree(anchors).query(anchors, k=k + 1)[0][:, -1]
-    band = _tie_band(anchors, anchors)
+    if tree is not None:
+        return tree.query(anchors, k=k + 1)[0][:, -1]
+    n = anchors.shape[0]
+    sq_max = (anchors * anchors).sum(axis=1).max()
+    band = _tie_band(sq_max, sq_max)
     rows = max(1, BLOCK_ENTRIES // n)
     radii = np.empty(n)
     for start in range(0, n, rows):
@@ -229,14 +280,43 @@ def _knn_radii(anchors: np.ndarray, k: int) -> np.ndarray:
     return radii
 
 
-def _fraction_covered(anchors: np.ndarray, queries: np.ndarray, k: int) -> float:
-    radii = _knn_radii(anchors, k)
+def _fraction_covered(anchors: np.ndarray, radii: np.ndarray, queries: np.ndarray, query_tree) -> float:
+    """Fraction of the queries within radii[a] of some anchor a, as the
+    explicit difference form decides it.
+
+    With a k-d tree over the queries, each block of anchors asks it for the
+    queries within its radii widened by 1e-6 relative, far more than the
+    tree's rounding, so no pair the explicit form passes is missed; every
+    candidate pair is then measured by the explicit form. Without one, a
+    blocked product gives the sign of min_a |x - a|^2 - r_a^2, which is
+    exact outside the tie band; queries inside it are measured explicitly.
+    """
+    if query_tree is not None:
+        # an anchor repeated more than k times has radius 0, and its copies
+        # have one ball between them: only the first copy asks for it
+        zero = np.flatnonzero(radii == 0.0)
+        if zero.size:
+            later = np.setdiff1d(zero, zero[np.unique(anchors[zero], axis=0, return_index=True)[1]])
+            anchors, radii = np.delete(anchors, later, axis=0), np.delete(radii, later)
+        covered = np.zeros(queries.shape[0], dtype=bool)
+        reach = radii * (1.0 + 1e-6)
+        rows = max(1, BLOCK_ENTRIES // queries.shape[0])  # pairs per block: <= BLOCK_ENTRIES or one anchor's
+        for start in range(0, anchors.shape[0], rows):
+            stop = start + rows
+            found = query_tree.query_ball_point(anchors[start:stop], reach[start:stop], return_sorted=False)
+            counts = np.fromiter(map(len, found), np.intp, len(found))
+            near = np.fromiter(chain.from_iterable(found), np.intp, counts.sum())
+            owner = np.repeat(np.arange(start, start + len(found)), counts)
+            diff = anchors[owner] - queries[near]
+            covered[near[np.sqrt((diff * diff).sum(axis=1)) <= radii[owner]]] = True
+        return int(np.count_nonzero(covered)) / queries.shape[0]
     # min_a |x - a|^2 - r_a^2 = |x|^2 + min_a(-2 x.a + |a|^2 - r_a^2): one product
     # of the queries, padded with ones, against the anchors lifted by that offset
-    lifted = np.hstack([-2.0 * anchors, ((anchors * anchors).sum(axis=1) - radii**2)[:, None]]).T
+    anchor_sq = (anchors * anchors).sum(axis=1)
+    lifted = np.hstack([-2.0 * anchors, (anchor_sq - radii**2)[:, None]]).T
     padded = np.hstack([queries, np.ones((queries.shape[0], 1))])
     sq_norms = (queries * queries).sum(axis=1)
-    band = _tie_band(queries, anchors)
+    band = _tie_band(sq_norms.max(), anchor_sq.max())
     rows = max(1, BLOCK_ENTRIES // anchors.shape[0])
     covered = 0
     for start in range(0, queries.shape[0], rows):

@@ -115,12 +115,15 @@ def gaussian_family(d: int) -> ExpFamilySpec:
     A(theta) = 1/2 mu' Prec mu - 1/2 logdet(Prec) + d/2 log(2 pi) with
     Prec = -2 Theta2 and mu = Prec^-1 theta1, computed via Cholesky. The
     coordinate maps go through :class:`GaussianParams`, so a theta or eta
-    outside the family raises ParameterError.
+    outside the family raises ParameterError, as A does.
     """
 
     def log_partition(theta: np.ndarray) -> float:
         theta1, theta2 = _unpack_gaussian_theta(theta, d)
-        chol = np.linalg.cholesky(-2.0 * theta2)
+        try:
+            chol = np.linalg.cholesky(-2.0 * theta2)
+        except np.linalg.LinAlgError as exc:
+            raise ParameterError("natural parameters give a precision that is not positive definite") from exc
         half = np.linalg.solve(chol, theta1)
         logdet_prec = 2.0 * float(np.sum(np.log(np.diag(chol))))
         return 0.5 * float(np.dot(half, half)) - 0.5 * logdet_prec + 0.5 * d * np.log(2.0 * np.pi)

@@ -133,6 +133,14 @@ class TestKnnSupportMetrics:
         x = rng.normal(size=(200, 2))
         precision, recall = knn_support_metrics(x, x, k=3)
         assert precision == 1.0 and recall == 1.0
+        assert type(precision) is float and type(recall) is float
+
+    def test_points_repeated_beyond_k(self):
+        # every ball has radius 0 and holds exactly the copies of its point
+        points = np.random.default_rng(25).normal(size=(4, 3))
+        xp = np.repeat(points[:3], 400, axis=0)
+        xq = np.repeat(points[1:], 300, axis=0)
+        assert knn_support_metrics(xp, xq, k=3) == (2 / 3, 2 / 3)
 
     def test_disjoint_far_blobs(self):
         rng = np.random.default_rng(22)
@@ -199,6 +207,73 @@ def assign_reference(samples, centers):
     return np.argmin(((samples[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2), axis=1)
 
 
+# The nearest-center kernel and Lloyd loop that the center-major kernel
+# replaced, frozen: row-major product blocks, argmin over each row, and the
+# tie band recomputed on every call. _lloyd must reproduce their centers,
+# labels and iteration counts bit for bit.
+
+def _frozen_sqdist(x, c):
+    d2 = x @ c.T
+    d2 *= -2.0
+    d2 += (x * x).sum(axis=1)[:, None]
+    d2 += (c * c).sum(axis=1)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
+
+
+def _frozen_nearest(x, c):
+    d2 = _frozen_sqdist(x, c)
+    labels = d2.argmin(axis=1)
+    best = d2[np.arange(x.shape[0]), labels]
+    band = 1e-9 * float((x * x).sum(axis=1).max() + (c * c).sum(axis=1).max())
+    close = d2 <= (best + band)[:, None]
+    if np.count_nonzero(close) > x.shape[0]:
+        for i in np.flatnonzero(np.count_nonzero(close, axis=1) > 1):
+            labels[i] = ((x[i] - c) ** 2).sum(axis=1).argmin()
+    return labels, best
+
+
+def frozen_lloyd(samples, centers):
+    """Returns the centers, the labels and the number of iterations."""
+    k = centers.shape[0]
+    columns = np.ascontiguousarray(samples.T)
+    prev_inertia = np.inf
+    for iterations in range(1, 301):
+        labels, best = _frozen_nearest(samples, centers)
+        inertia = float(best.sum())
+        counts = np.bincount(labels, minlength=k)
+        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in columns])
+        live = counts > 0
+        centers[live] = sums[live] / counts[live, None]
+        if prev_inertia < np.inf and prev_inertia > 0:
+            if abs(prev_inertia - inertia) / prev_inertia < 1e-6:
+                break
+        prev_inertia = inertia
+    return centers, labels, iterations
+
+
+def assert_lloyd_matches_frozen(pooled, k, monkeypatch):
+    calls = []
+
+    class CountingNearest(estimation._NearestCenter):
+        def __call__(self, centers):
+            calls.append(1)
+            return super().__call__(centers)
+
+    monkeypatch.setattr(estimation, "_NearestCenter", CountingNearest)
+    init = estimation._kmeans_pp_init(pooled, k, np.random.default_rng(3))
+    centers, labels = estimation._lloyd(pooled, init.copy())
+    want_centers, want_labels, want_iterations = frozen_lloyd(pooled, init.copy())
+    assert np.array_equal(centers, want_centers)
+    assert np.array_equal(labels, want_labels)
+    assert len(calls) == want_iterations
+
+
+def fraction_covered(anchors, queries, k):
+    """Coverage through the k-d trees or product blocks knn_support_metrics uses."""
+    radii = estimation._knn_radii(anchors, k, estimation._kd_tree(anchors))
+    return estimation._fraction_covered(anchors, radii, queries, estimation._kd_tree(queries))
+
+
 def fraction_covered_reference(anchors, queries, k):
     tree = cKDTree(anchors)
     radii = tree.query(anchors, k=k + 1)[0][:, -1]
@@ -259,6 +334,24 @@ def _one_dimensional():
     return rng.normal(size=(300, 1)), rng.normal(size=(300, 1)) * 2.0 + 0.5
 
 
+def _permuted_offsets():
+    # anchors in far-apart pairs (a, a + v), queries at a + v with the
+    # coordinates of v permuted: each query lies on a 1-NN radius in exact
+    # arithmetic, and only the summation order decides whether it is inside
+    rng = np.random.default_rng(48)
+    base = 100.0 * rng.normal(size=(30, 11))
+    offsets = rng.normal(size=(30, 11))
+    queries = base + np.stack([row[rng.permutation(11)] for row in offsets])
+    return np.vstack([base, base + offsets]), queries
+
+
+def _all_in_band():
+    # at |x| ~ 1e8 the tie band (~4e7) holds every squared distance between
+    # these unit-spread points, so every decision falls to the difference form
+    rng = np.random.default_rng(47)
+    return rng.normal(size=(150, 2)) + 1e8, rng.normal(size=(150, 2)) + 1e8
+
+
 def _padded(fixture, scale=1.0, shift=0.0):
     """The fixture zero-padded to d=16, above KD_TREE_MAX_DIM, so its kNN
     radii come from distance blocks; optionally scaled and shifted."""
@@ -279,6 +372,7 @@ EQUIVALENCE_FIXTURES = {
     "shared-rows": _shared_rows,
     "identical": _identical,
     "d1": _one_dimensional,
+    "permuted-offsets": _permuted_offsets,
     "lattice-ties-d16": _padded(_lattice_ties),
     "duplicated-rows-d16": _padded(_duplicated_rows),
     "shared-rows-d16": _padded(_shared_rows),
@@ -314,14 +408,31 @@ class TestDistanceKernelEquivalence:
         p, q = EQUIVALENCE_FIXTURES[name]()
         for anchors, queries in ((p, q), (q, p), (p, p)):
             for k in (1, 3):
-                got = estimation._fraction_covered(anchors, queries, k)
+                got = fraction_covered(anchors, queries, k)
                 assert got == fraction_covered_reference(anchors, queries, k)
 
     def test_coverage_with_ragged_blocks(self, name, monkeypatch):
+        # 997 entries split the Lloyd column blocks, the product blocks and
+        # the anchor blocks of the k-d path into ragged pieces
         p, q = EQUIVALENCE_FIXTURES[name]()
         want = fraction_covered_reference(p, q, 3)
         monkeypatch.setattr(estimation, "BLOCK_ENTRIES", 997)
-        assert estimation._fraction_covered(p, q, 3) == want
+        for max_dim in (0, 1000):  # product blocks, then k-d candidate pairs
+            monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", max_dim)
+            assert fraction_covered(p, q, 3) == want
+        assert_lloyd_matches_frozen(np.vstack([p, q]), 7, monkeypatch)
+
+
+# the product form's inertia is not the difference form's here, so this
+# fixture is checked against the frozen kernel only
+FROZEN_FIXTURES = {**EQUIVALENCE_FIXTURES, "all-in-band-d2": _all_in_band}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FIXTURES))
+def test_lloyd_matches_frozen_kernel(name, monkeypatch):
+    p, q = FROZEN_FIXTURES[name]()
+    for k in (2, 7, 20):
+        assert_lloyd_matches_frozen(np.vstack([p, q]), k, monkeypatch)
 
 
 @pytest.mark.parametrize("name", ["gaussian-d64", "modes-d4"])
@@ -331,9 +442,11 @@ def test_coverage_equal_on_both_radius_paths(name, monkeypatch):
     for max_dim in (0, 1000):  # distance blocks, then the k-d tree
         monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", max_dim)
         # the k-d tree sums in a different order, so radii may differ in the last bit
-        np.testing.assert_allclose(estimation._knn_radii(p, 3), tree_radii, rtol=1e-15, atol=0)
+        np.testing.assert_allclose(
+            estimation._knn_radii(p, 3, estimation._kd_tree(p)), tree_radii, rtol=1e-15, atol=0
+        )
         for anchors, queries in ((p, q), (q, p)):
-            assert estimation._fraction_covered(anchors, queries, 3) == fraction_covered_reference(
+            assert fraction_covered(anchors, queries, 3) == fraction_covered_reference(
                 anchors, queries, 3
             )
 
@@ -343,9 +456,10 @@ def test_coverage_equal_on_both_radius_paths(name, monkeypatch):
 def test_duplicated_rows_have_radius_zero(name, max_dim, monkeypatch):
     p, _ = EQUIVALENCE_FIXTURES[name]()
     monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", max_dim)
+    tree = estimation._kd_tree(p)
     for k in (1, 3, 4):  # every row has 4 copies besides itself
-        assert np.all(estimation._knn_radii(p, k) == 0.0)
-    assert np.all(estimation._knn_radii(p, 5) > 0.0)
+        assert np.all(estimation._knn_radii(p, k, tree) == 0.0)
+    assert np.all(estimation._knn_radii(p, 5, tree) > 0.0)
 
 
 def test_block_radii_settle_near_ties_by_difference_form(monkeypatch):
@@ -357,7 +471,7 @@ def test_block_radii_settle_near_ties_by_difference_form(monkeypatch):
     monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", 0)
     for k in (1, 3, 8):
         want = cKDTree(anchors).query(anchors, k=k + 1)[0][:, -1]
-        np.testing.assert_allclose(estimation._knn_radii(anchors, k), want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(estimation._knn_radii(anchors, k, None), want, rtol=1e-12, atol=0)
 
 
 class TestPipeline:

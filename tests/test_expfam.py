@@ -122,6 +122,13 @@ class TestParameterMaps:
             natural_to_moment(NaturalParams(theta), gaussian_family(d))
         with pytest.raises(ParameterError):
             natural_to_gaussian(NaturalParams(theta))
+        with pytest.raises(ParameterError):
+            gaussian_family(d).log_partition(np.asarray(theta))
+
+    def test_bregman_kl_to_a_theta_outside_the_family_raises(self):
+        # the log-partition's Cholesky factor of -2 Theta2 = [[-1]] once escaped as LinAlgError
+        with pytest.raises(ParameterError):
+            bregman_kl(np.array([0.0, -0.5]), np.array([0.0, 0.5]), gaussian_family(1))
 
     @pytest.mark.parametrize("eta", [[1.0, 0.5], [1.0, 1.0], [0.0, 0.0, 1.0, 2.0, 2.0, 1.0]])
     def test_eta_outside_the_family_raises(self, eta):

@@ -290,6 +290,23 @@ class TestCli:
         assert main(["endpoints", "--p", str(g), "--q", str(g), "--output", str(out)]) == 0
         assert out.read_text().splitlines()[1] == "0.0,0.0"
 
+    def test_endpoints_accept_ulp_asymmetry_at_large_scale(self, tmp_path):
+        # one ulp of asymmetry at 5e7 is 7.5e-9, above an absolute 1e-10
+        cov = [[1e8, 5e7], [50000000.00000001, 1e8]]
+        p = write(tmp_path / "p.json", json.dumps({"type": "gaussian", "mean": [0.0, 0.0], "cov": cov}))
+        q = write(tmp_path / "q.json", json.dumps({"type": "gaussian", "mean": [0.0, 0.0], "cov": [[1e8, 5e7], [5e7, 1e8]]}))
+        out = tmp_path / "e.csv"
+        assert main(["endpoints", "--p", p, "--q", q, "--output", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "0.0,0.0"
+
+    @pytest.mark.parametrize("scale", [1.0, 1e8])
+    def test_endpoints_refuse_an_asymmetric_covariance(self, tmp_path, scale):
+        cov = (scale * np.array([[1.0, 0.5], [0.2, 1.0]])).tolist()
+        p = write(tmp_path / "p.json", json.dumps({"type": "gaussian", "mean": [0.0, 0.0], "cov": cov}))
+        out = tmp_path / "e.csv"
+        assert main(["endpoints", "--p", p, "--q", p, "--output", str(out)]) == 1
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_pipeline_ridge_near_float_max(self, tmp_path, sample_csvs):
         sp, sq = sample_csvs
