@@ -23,6 +23,7 @@ INCLUSIVE = "inclusive"
 _SIDES = (EXCLUSIVE, INCLUSIVE)
 MAX_GRID_SIZE = 10_000  # largest lambda grid a frontier accepts; its memory is bounded by the blocks
 _BLOCK_ENTRIES = 1 << 20  # entries of one (lambda rows x n or d) or (curve x front) block
+_PREFILTER_MIN = 1024  # pareto_filter prunes inputs of this many points by a sample's front first
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,9 @@ def _ratio_domain(p: Histogram, q: Histogram) -> tuple[float, float]:
 def _geodesic_rows(pv: np.ndarray, qv: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Unnormalised points on the Funk-metric geodesic, one row per lambda:
     gamma_i proportional to min(p_i, q_i/lambda), and p at lambda = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # the row at lambda 0 is p, not q/0
+    # the row at lambda 0 is p, not q/0; a q_i/lambda that overflows is inf,
+    # and the min then takes p_i, which is what the exact ratio gives
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(lams[:, None] > 0.0, np.minimum(pv, qv / lams[:, None]), pv)
 
 
@@ -168,10 +171,30 @@ def pareto_filter(points: Sequence[tuple[float, float]] | np.ndarray) -> list[tu
 
     Output is sorted ascending by first coordinate (ties by second) and
     deduplicated on exact ties of both coordinates.
+
+    From _PREFILTER_MIN points on, the front of a strided sample first drops
+    every point that one of its points beats strictly in both coordinates.
+    That cannot change the output. Such a point would be dropped anyway, and
+    its dominator, which no sample point beats, stays and beats everything
+    the dropped point beats, so no running minimum moves. The kept points
+    keep their input order, so exact ties resolve as before. A NaN y stops
+    the running minimum, which then keeps every later point, so an input
+    with a NaN is not prefiltered.
     """
     xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    return list(map(tuple, _pareto_front(xy).tolist()))
+
+
+def _pareto_front(xy: np.ndarray) -> np.ndarray:
+    """pareto_filter's output rows as an array, the prefilter included."""
+    if xy.shape[0] >= _PREFILTER_MIN and not np.isnan(xy).any():
+        front = _pareto_front(xy[:: xy.shape[0] // (_PREFILTER_MIN // 2)])
+        # the least y among front points of strictly smaller x, where there is one
+        below = np.searchsorted(front[:, 0], xy[:, 0])
+        least_y = np.concatenate([[np.inf], np.minimum.accumulate(front[:, 1])])[below]
+        xy = xy[~(least_y < xy[:, 1])]
     if xy.shape[0] == 0:
-        return []
+        return xy
     s = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
     s = s[np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])]
     # keep a point unless its y is above the min y over strictly smaller x,
@@ -179,7 +202,7 @@ def pareto_filter(points: Sequence[tuple[float, float]] | np.ndarray) -> list[tu
     best = np.minimum.accumulate(np.concatenate([[np.inf], s[:-1, 1]]))
     first = np.concatenate([[True], s[1:, 0] != s[:-1, 0]])
     run_start = np.maximum.accumulate(np.where(first, np.arange(s.shape[0]), 0))
-    return list(map(tuple, s[~(s[:, 1] > best[run_start])].tolist()))
+    return s[~(s[:, 1] > best[run_start])]
 
 
 def _pareto_filter_triples(

@@ -124,8 +124,33 @@ def _kl_axes(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 / r - 1.0 + np.log(r) + m).sum(axis=-1)
 
 
+def _kl_1d(P: GaussianParams, Q: GaussianParams) -> float:
+    """KL(P || Q) for 1-D Gaussians from the raw variances and mean offset.
+
+    KL = (r - 1 - log r + delta^2 / var_Q) / 2 with r = var_P / var_Q. For
+    close variances the gap var_P - var_Q is exact (Sterbenz), and a short
+    series keeps the digits of r - 1 - log r that subtraction would cancel;
+    for far ones log r is a difference of logs, so variances beyond float
+    range of each other give a finite value or inf, not an underflow.
+    """
+    (vp,), (vq,) = P.cov[0], Q.cov[0]
+    with np.errstate(over="ignore"):  # a value beyond float range is inf
+        delta = abs(P.mean[0] - Q.mean[0])
+        if 0.5 * vq <= vp <= 2.0 * vq:
+            x = (vp - vq) / vq  # r - 1, and r - 1 - log r = x - log1p(x)
+            if abs(x) < 1e-3:  # the series to x^6; the next term is below 3e-16 of the sum
+                gap = x * x * (1 / 2 - x * (1 / 3 - x * (1 / 4 - x * (1 / 5 - x / 6))))
+            else:
+                gap = x - np.log1p(x)
+        else:
+            gap = vp / vq - 1.0 - (np.log(vp) - np.log(vq))
+        return float(0.5 * (gap + delta * (delta / vq)))
+
+
 def kl_gaussian(P: GaussianParams, Q: GaussianParams) -> float:
     """Closed-form KL divergence between multivariate Gaussians."""
+    if P.dim == Q.dim == 1:
+        return _kl_1d(P, Q)
     t, s, d2 = _whitened_pair(P, Q)
     return _clip_nonneg(_kl_axes(s / t, d2 / s))
 

@@ -265,6 +265,7 @@ def _knn_radii(anchors: np.ndarray, k: int, tree) -> np.ndarray:
     band = _tie_band(sq_max, sq_max)
     rows = max(1, BLOCK_ENTRIES // n)
     radii = np.empty(n)
+    settled = np.zeros(n, dtype=bool)  # exact copies of a crowded row found at radius 0
     for start in range(0, n, rows):
         block = anchors[start:start + rows]
         d2 = _sqdist(block, anchors)
@@ -274,9 +275,14 @@ def _knn_radii(anchors: np.ndarray, k: int, tree) -> np.ndarray:
         kth = d2[np.arange(block.shape[0]), nearest[:, k]]
         crowded = np.count_nonzero(d2 <= (kth + band)[:, None], axis=1) > k + 1
         for i in np.flatnonzero(crowded):
+            if settled[start + i]:  # its distances are its copy's, so its radius is 0 too
+                radii[start + i] = 0.0
+                continue
             near = anchors[d2[i] <= kth[i] + band]
             dist = np.sqrt(((near - block[i]) ** 2).sum(axis=1))
             radii[start + i] = np.partition(dist, k)[k]
+            if radii[start + i] == 0.0:
+                settled |= (anchors == block[i]).all(axis=1)
     return radii
 
 
@@ -291,13 +297,13 @@ def _fraction_covered(anchors: np.ndarray, radii: np.ndarray, queries: np.ndarra
     blocked product gives the sign of min_a |x - a|^2 - r_a^2, which is
     exact outside the tie band; queries inside it are measured explicitly.
     """
+    # an anchor repeated more than k times has radius 0, and its copies
+    # have one ball between them: only the first copy is kept
+    zero = np.flatnonzero(radii == 0.0)
+    if zero.size:
+        later = np.setdiff1d(zero, zero[np.unique(anchors[zero], axis=0, return_index=True)[1]])
+        anchors, radii = np.delete(anchors, later, axis=0), np.delete(radii, later)
     if query_tree is not None:
-        # an anchor repeated more than k times has radius 0, and its copies
-        # have one ball between them: only the first copy asks for it
-        zero = np.flatnonzero(radii == 0.0)
-        if zero.size:
-            later = np.setdiff1d(zero, zero[np.unique(anchors[zero], axis=0, return_index=True)[1]])
-            anchors, radii = np.delete(anchors, later, axis=0), np.delete(radii, later)
         covered = np.zeros(queries.shape[0], dtype=bool)
         reach = radii * (1.0 + 1e-6)
         rows = max(1, BLOCK_ENTRIES // queries.shape[0])  # pairs per block: <= BLOCK_ENTRIES or one anchor's

@@ -14,7 +14,8 @@ the inverse gradient of the log-partition. Both paths reach theta_P at
 lambda = 1 and theta_Q at lambda = 0 (this orientation is normalized only
 in CSV output, see :mod:`divfrontier.io`). :func:`frontier_kl` and
 :func:`kl_endpoints` evaluate Gaussians in closed form from one whitened
-pair, as per-axis sums.
+pair, as per-axis sums; in 1-D, :func:`kl_endpoints` works from the raw
+variances instead (see :func:`divergences._kl_1d`).
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import numpy as np
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_grid_size, _check_lambda_unit, _check_side
 from .discrete_frontier import _pareto_filter_triples, _row_blocks
 from .distributions import Alpha, GaussianParams
-from .divergences import INF, _clip_nonneg, _kl_axes, _whitened_pair
+from .divergences import INF, _clip_nonneg, _kl_1d, _kl_axes, _whitened_pair
 from .errors import ParameterError
 
 
@@ -248,5 +249,7 @@ def kl_endpoints(P: GaussianParams, Q: GaussianParams) -> tuple[float, float]:
     KL(Q||P) is sensitive to Q placing mass where P has little (precision),
     KL(P||Q) to Q failing to cover P (recall).
     """
+    if P.dim == Q.dim == 1:
+        return _kl_1d(Q, P), _kl_1d(P, Q)
     t, s, d2 = _whitened_pair(P, Q)  # one whitening for both directions
     return _clip_nonneg(_kl_axes(t / s, d2 / t)), _clip_nonneg(_kl_axes(s / t, d2 / s))

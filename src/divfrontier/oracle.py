@@ -27,11 +27,16 @@ MAX_SIMPLEX_ENTRIES = 2_000_000
 
 @dataclass(frozen=True)
 class SimplexGrid:
-    """All histograms with entries i/m on the (n-1)-simplex."""
+    """All histograms with entries i/m on the (n-1)-simplex.
+
+    ``points`` is held bins-major (Fortran order): each bin's column is
+    contiguous, so row-wise kernels over the grid sweep long columns
+    instead of n-wide rows.
+    """
 
     n: int
     m: int
-    points: np.ndarray  # shape (count, n), rows sum to 1
+    points: np.ndarray  # shape (count, n), rows sum to 1, Fortran order
 
     @property
     def count(self) -> int:
@@ -39,7 +44,8 @@ class SimplexGrid:
 
 
 def enumerate_simplex(n: int, m: int) -> SimplexGrid:
-    """Exhaustive, lexicographically ordered grid; binomial(m+n-1, n-1) points."""
+    """Exhaustive, lexicographically ordered grid; binomial(m+n-1, n-1) points,
+    held bins-major (see SimplexGrid)."""
     if n < 2 or m < 1:
         raise ParameterError("need n >= 2 and m >= 1")
     # the count C(m+n-1, k), k = min(n-1, m), is at least 2**k, so a k past
@@ -57,7 +63,7 @@ def enumerate_simplex(n: int, m: int) -> SimplexGrid:
         nxt = np.arange(len(parent)) - np.repeat(np.cumsum(free) - free, free)
         sums = sums[parent] + nxt
         steps.append((parent, nxt))
-    points = np.empty((len(sums), n))
+    points = np.empty((len(sums), n), order="F")  # filled, and later read, a column at a time
     points[:, -1] = m - sums
     row = np.arange(len(sums))
     for j in range(n - 2, -1, -1):  # walk each full row back through its prefixes
@@ -75,7 +81,7 @@ def realizable_pairs(
     check_same_length(p, q)
     if grid.n != len(p):
         raise ParameterError(f"grid dimension {grid.n} does not match histograms of length {len(p)}")
-    R = grid.points + GRID_SMOOTHING
+    R = grid.points + GRID_SMOOTHING  # keeps the grid's bins-major layout, as does the division
     R = R / R.sum(axis=1, keepdims=True)
     pv = p.probs + GRID_SMOOTHING
     pv = pv / pv.sum()

@@ -156,6 +156,14 @@ class TestInfinityGeodesic:
         with pytest.raises(ParameterError):
             infinity_geodesic_point(P, Q, 5.0)
 
+    def test_subnormal_lambda_overflowing_a_ratio_gives_p(self):
+        # q_i / lambda overflows for lambda = 5e-309; the min with p_i is p_i
+        p = Histogram(np.array([1.0, 0.0, 0.0, 0.0]))
+        q = Histogram(np.array([5e-309, 0.0, 0.0, 1.0]))
+        np.testing.assert_array_equal(infinity_geodesic_point(p, q, 5e-309).probs, p.probs)
+        curve = frontier(p, q, Alpha.infinity(), EXCLUSIVE, 2)
+        assert [pt[0] for pt in curve.points] == [5e-309]
+
     def test_geodesity(self, rng):
         # F(p,q) = F(p,gamma) + F(gamma,q) along the whole curve
         worst = 0.0

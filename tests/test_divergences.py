@@ -748,6 +748,28 @@ class TestGaussianInfinityRawVariances:
             else:
                 assert abs(got - float(want)) <= 1e-12 * float(want), (got, float(want))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pair", INFINITY_1D_PAIRS)
+    def test_kl_matches_mpmath_to_1e12(self, pair):
+        # whitening underflowed t = 1e-600 and refused the 1e-300/1e300 pair as singular
+        P, Q = (GaussianParams([m], [[v]]) for m, v in pair)
+        endpoints = kl_endpoints(P, Q)
+        for A, B, from_endpoints in ((P, Q, endpoints[1]), (Q, P, endpoints[0])):
+            got = kl_gaussian(A, B)
+            assert got == from_endpoints
+            want = mp_gaussian_renyi(A, B, [Alpha.one()])[0]
+            if float(want) == INF:
+                assert got == INF
+            else:
+                assert abs(got - float(want)) <= 1e-12 * float(want), (got, float(want))
+
+    def test_kl_beyond_float_range_of_each_other(self):
+        P, Q = GaussianParams([0.0], [[1e-300]]), GaussianParams([1.0], [[1e300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kl_endpoints(P, Q) == (INF, kl_gaussian(P, Q))
+            assert kl_gaussian(P, Q) == pytest.approx(690.2755278982137, rel=1e-15)
+
     @pytest.mark.parametrize(
         "pair", [((-1e308, 1.0), (1e308, 2.0)), ((0.0, 1e-300), (1e200, 1.0)), ((0.0, 1e-300), (1e10, 2e-300))]
     )

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -460,6 +462,31 @@ def test_duplicated_rows_have_radius_zero(name, max_dim, monkeypatch):
     for k in (1, 3, 4):  # every row has 4 copies besides itself
         assert np.all(estimation._knn_radii(p, k, tree) == 0.0)
     assert np.all(estimation._knn_radii(p, 5, tree) > 0.0)
+
+
+def test_exact_duplicates_above_the_tree_dimension_measure_linear_work(monkeypatch):
+    # 4000 copies of one row in d = 16: every radius is 0 and every query is
+    # in the tie band. Each crowded row and each query was measured against
+    # all 4000 rows in turn (32 M explicit distances per side, 6 s in all);
+    # a zero radius now settles a row's copies, and the copies share one
+    # ball. The explicit difference form ends in np.sqrt, so counting the
+    # entries that estimation passes to it counts the distances measured.
+    n = 4000
+    x = np.tile(np.linspace(-1.0, 2.0, 16), (n, 1))
+    want = fraction_covered_reference(x, x, 3)
+    measured = []
+
+    def counting_sqrt(a, *args, **kwargs):
+        measured.append(np.size(a))
+        return np.sqrt(a, *args, **kwargs)
+
+    counting_np = types.SimpleNamespace(**{name: getattr(np, name) for name in dir(np) if not name.startswith("__")})
+    counting_np.sqrt = counting_sqrt
+    monkeypatch.setattr(estimation, "np", counting_np)
+    assert knn_support_metrics(x, x, 3) == (want, want) == (1.0, 1.0)
+    # per side: one radius per row from the block, one crowded row measured
+    # against all rows, and every query against the single kept anchor
+    assert 0 < sum(measured) <= 2 * 4 * n, sum(measured)
 
 
 def test_block_radii_settle_near_ties_by_difference_form(monkeypatch):

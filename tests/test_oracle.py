@@ -29,7 +29,8 @@ from divfrontier import (
 )
 from divfrontier import discrete_frontier as frontier_module
 from divfrontier import oracle as oracle_module
-from divfrontier.oracle import MAX_SIMPLEX_ENTRIES
+from divfrontier.divergences import renyi_rows
+from divfrontier.oracle import GRID_SMOOTHING, MAX_SIMPLEX_ENTRIES
 
 INF = float("inf")
 
@@ -49,6 +50,33 @@ def _loop_pareto_filter(points):
         best_y_before = min(best_y_before, min(pt[1] for pt in group))
         i = j
     return kept
+
+
+def _lexsort_pareto_filter(points):
+    """pareto_filter before it pruned large inputs by a sample's front."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    if xy.shape[0] == 0:
+        return []
+    s = xy[np.lexsort((xy[:, 1], xy[:, 0]))]
+    s = s[np.concatenate([[True], np.any(s[1:] != s[:-1], axis=1)])]
+    best = np.minimum.accumulate(np.concatenate([[np.inf], s[:-1, 1]]))
+    first = np.concatenate([[True], s[1:, 0] != s[:-1, 0]])
+    run_start = np.maximum.accumulate(np.where(first, np.arange(s.shape[0]), 0))
+    return list(map(tuple, s[~(s[:, 1] > best[run_start])].tolist()))
+
+
+def _row_major_realizable_pairs(p, q, alpha, side, grid):
+    """realizable_pairs before the grid was held bins-major: the same
+    arithmetic on a C-order copy of the grid."""
+    R = np.ascontiguousarray(grid.points) + GRID_SMOOTHING
+    R = R / R.sum(axis=1, keepdims=True)
+    pv = p.probs + GRID_SMOOTHING
+    pv = pv / pv.sum()
+    qv = q.probs + GRID_SMOOTHING
+    qv = qv / qv.sum()
+    if side == EXCLUSIVE:
+        return np.column_stack([renyi_rows(R, pv, alpha), renyi_rows(R, qv, alpha)])
+    return np.column_stack([renyi_rows(pv, R, alpha), renyi_rows(qv, R, alpha)])
 
 
 def _combinations_simplex(n, m):
@@ -128,6 +156,7 @@ class TestEnumerateSimplex:
         grid = enumerate_simplex(n, m)
         assert (grid.n, grid.m) == (n, m)
         assert np.array_equal(grid.points, _combinations_simplex(n, m))
+        assert grid.points.flags.f_contiguous
 
 
 coordinates = st.one_of(
@@ -149,6 +178,50 @@ class TestParetoFilterArrays:
 
     def test_empty(self):
         assert pareto_filter([]) == [] == pareto_filter(np.empty((0, 2)))
+
+
+# few distinct values, so that exact ties in x, in y and in both are common
+tie_values = st.lists(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -3.0, 1e-300, INF, -INF]) | st.floats(-4.0, 4.0), min_size=1, max_size=8
+)
+
+
+class TestParetoPrefilter:
+    """Inputs of 1024 points or more are first pruned by the front of a
+    strided sample; the output must not change."""
+
+    @given(
+        n=st.integers(1024, 3000),
+        values=tie_values,
+        on_front=st.floats(0.0, 1.0),
+        nans=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_filters_it_replaces(self, n, values, on_front, nans, seed):
+        rng = np.random.default_rng(seed)
+        vals = np.sort(np.array(values))
+        i = rng.integers(0, len(vals), n)
+        # a share of the points on an anti-diagonal, which keeps them on the front
+        j = np.where(rng.random(n) < on_front, len(vals) - 1 - i, rng.integers(0, len(vals), n))
+        xy = np.column_stack([vals[i], vals[j]])
+        xy.flat[rng.integers(0, xy.size, nans)] = np.nan
+        want = _lexsort_pareto_filter(xy)
+        for given_as in (list(map(tuple, xy.tolist())), xy):
+            got = pareto_filter(given_as)
+            # repr tells NaN from NaN and -0.0 from 0.0, which == does not
+            assert repr(got) == repr(want)
+            assert all(type(c) is float for pt in got for c in pt)
+            if not nans:
+                assert got == _loop_pareto_filter(xy.tolist())
+                assert _signs(got) == _signs(_loop_pareto_filter(xy.tolist()))
+
+    def test_oracle_grid_with_most_points_on_the_front(self):
+        p, q = Histogram([0.05, 0.95]), Histogram([0.95, 0.05])
+        pairs = realizable_pairs(p, q, Alpha.finite(2), EXCLUSIVE, enumerate_simplex(2, 20_000))
+        got = pareto_filter(pairs)
+        assert got == _loop_pareto_filter(pairs) == _lexsort_pareto_filter(pairs)
+        assert len(got) > 0.8 * len(pairs)
 
 
 class TestBruteForceFrontier:
@@ -177,6 +250,53 @@ class TestBruteForceFrontier:
         curve = frontier(p, q, alpha, side, 201)
         pts = [(x, y) for _, x, y in curve.points if np.isfinite(x) and np.isfinite(y)]
         assert hausdorff_linf(pts, oracle) <= 5.0 / 200
+
+
+def _grid_histograms(n, seed):
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n))
+    p[0] = 0.0  # a zero bin, smoothed like the grid
+    return Histogram(p / p.sum()), Histogram(rng.dirichlet(np.ones(n)))
+
+
+GRID_ALPHAS = (Alpha.finite(0.5), Alpha.one(), Alpha.finite(2))
+
+
+class TestBinsMajorGrid:
+    """realizable_pairs on the bins-major grid against the row-major code."""
+
+    # up to 7 bins NumPy adds a row's entries in order in either layout
+    @pytest.mark.parametrize("n,m", [(2, 300), (3, 40), (4, 16), (5, 10), (6, 8), (7, 6)])
+    def test_bit_identical_up_to_seven_bins(self, n, m):
+        p, q = _grid_histograms(n, n)
+        grid = enumerate_simplex(n, m)
+        for alpha in GRID_ALPHAS:
+            for side in (EXCLUSIVE, INCLUSIVE):
+                got = realizable_pairs(p, q, alpha, side, grid)
+                want = _row_major_realizable_pairs(p, q, alpha, side, grid)
+                assert got.tobytes() == want.tobytes()
+                front = _lexsort_pareto_filter(want)
+                assert brute_force_frontier(p, q, alpha, side, grid) == front
+                curve = frontier(p, q, alpha, side, 41)
+                finite = [(x, y) for _, x, y in curve.points if np.isfinite(x) and np.isfinite(y)]
+                violation = max_dominance_violation(finite, np.array(front))
+                hausdorff = hausdorff_linf(finite, front)
+                assert certify_frontier(p, q, alpha, side, curve, m) == {
+                    "max_dominance_violation": violation,
+                    "hausdorff_distance": hausdorff,
+                    "pass": bool(violation <= 2.0 / m and hausdorff <= 5.0 / m),
+                }
+
+    # from 8 bins a row sum runs in order instead of pairwise
+    @pytest.mark.parametrize("n,m", [(8, 6), (12, 4), (40, 2), (1414, 1)])
+    def test_within_1e_12_relative_from_eight_bins(self, n, m):
+        p, q = _grid_histograms(n, n)
+        grid = enumerate_simplex(n, m)
+        for alpha in GRID_ALPHAS:
+            for side in (EXCLUSIVE, INCLUSIVE):
+                got = realizable_pairs(p, q, alpha, side, grid)
+                want = _row_major_realizable_pairs(p, q, alpha, side, grid)
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 class TestDominanceAndHausdorff:
