@@ -5,8 +5,11 @@ Runs ``perfbench/run.py`` of a parent checkout and of a change checkout in
 turn, ``--pairs`` times, on one workload and seed, and swaps which side runs
 first from one pair to the next. Each run starts from its own checkout root,
 so each side measures its own ``src/``. Then, for every end-to-end metric in
-the change's ``BENCHMARK.json``, it prints each side's median and quartiles
-and the number of pairs the change won (ties count for neither side).
+the change's ``BENCHMARK.json``, it prints each side's median and quartiles,
+the number of pairs the change won (ties count for neither side), whether a
+gain may be claimed (at least 9 of 10 pairs won, and a median gain above the
+parent's quartile spread), and whether the change's median is worse than the
+parent's by more than the metric's ``bound``.
 
 The two checkout paths must have the same length: readings have been seen
 to move with the length of the checkout's path alone.
@@ -56,7 +59,7 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 
 def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
     """Report lines for ``pairs``, each {"parent": result, "change": result},
-    over the end-to-end ``metrics`` of BENCHMARK.json (name, unit, better)."""
+    over the end-to-end ``metrics`` of BENCHMARK.json (name, unit, better, bound)."""
     lines = []
     for side in SIDES:
         failed = sum(p[side]["failed"] for p in pairs)
@@ -71,7 +74,25 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
         sign = 1.0 if metric["better"] == "higher" else -1.0
         wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
         lines.append(f"{name} change wins {wins}/{len(pairs)} pairs ({metric['better']} is better)")
+        lines.extend(verdict(name, values["parent"], values["change"], wins, sign, metric["bound"]))
     return lines
+
+
+def verdict(name: str, parent: list[float], change: list[float], wins: int, sign: float, bound: float) -> list[str]:
+    """Two lines: whether a gain may be claimed (the change wins at least
+    9 of 10 pairs, and its median is better than the parent's by more than
+    the parent's quartile spread), and whether its median is worse than the
+    parent's by more than ``bound``, a fraction of the parent's median."""
+    p_q1, p_med, p_q3 = quartiles(parent)
+    gain = sign * (quartiles(change)[1] - p_med)
+    claim = 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1
+    worse = -gain / p_med
+    return [
+        f"{name} claim {'holds' if claim else 'fails'}: wins {wins}/{len(parent)} (needs 9/10), "
+        f"median gain {gain:.6g} against parent quartile spread {p_q3 - p_q1:.6g}",
+        f"{name} bound {'exceeded' if worse > bound else 'kept'}: median {100 * worse:+.3g}% worse "
+        f"than the parent (bound {100 * bound:.3g}%)",
+    ]
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -23,6 +23,7 @@ from .distributions import (
 from .errors import DivergenceUndefinedError, ParameterError
 
 INF = float("inf")
+FAR_LOG_RATIO = 690.0  # 1-D variances more than e^690 (~1e300) apart are worked in logs
 
 
 def logsumexp(x, axis=None):
@@ -118,6 +119,23 @@ def _whitened_pair(P: GaussianParams, Q: GaussianParams) -> tuple[np.ndarray, np
     return t, s, d2
 
 
+def _far_1d(P: GaussianParams, Q: GaussianParams) -> tuple[float, float, float] | None:
+    """(var_P, var_Q, |mean_P - mean_Q|) for 1-D Gaussians whose variances
+    are more than e^FAR_LOG_RATIO apart, else None.
+
+    Whitening such a pair leaves the smaller variance below float range, so
+    the 1-D closed forms for them work from the raw variances, their logs
+    and the raw offset, as _kl_1d and the alpha = inf path do.
+    """
+    if not P.dim == Q.dim == 1:
+        return None
+    (vp,), (vq,) = P.cov[0], Q.cov[0]
+    if abs(np.log(vq) - np.log(vp)) <= FAR_LOG_RATIO:
+        return None
+    with np.errstate(over="ignore"):  # an offset beyond float range is inf
+        return float(vp), float(vq), float(abs(P.mean[0] - Q.mean[0]))
+
+
 def _kl_axes(r: np.ndarray, m: np.ndarray) -> np.ndarray:
     """KL(N(a, diag u) || N(b, diag v)) summed over the last axis, from
     r = v / u and m = (a - b)^2 / v on each axis."""
@@ -183,9 +201,12 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
             # log(var_Q / var_P), neither cancelling for close variances nor overflowing for far ones
             log_r = np.log1p((vq - vp) / vp) if vq < 2.0 * vp else np.log(vq) - np.log(vp)
             return _clip_nonneg(0.5 * log_r + 0.5 * delta * (delta / (vq - vp)))
+    a = alpha.value
+    far = _far_1d(P, Q)
+    if far is not None:
+        return _renyi_far_1d(*far, a)
     t, s, d2 = _whitened_pair(P, Q)
     r = s / t
-    a = alpha.value
     # the interpolated covariance is diag(t * (1 + a (r - 1))) on these axes
     k = a * (r - 1.0)
     if not np.all(k > -1.0):
@@ -195,3 +216,22 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
     value = np.sum(a * d2 / (2.0 * t * (1.0 + k))) - np.sum(np.log1p(k) - a * np.log(r)) / (2.0 * (a - 1.0))
     return _clip_nonneg(value)
 
+
+def _renyi_far_1d(vp: float, vq: float, delta: float, a: float) -> float:
+    """D_a(P || Q) for 1-D Gaussians from _far_1d's variances and offset.
+
+    With r = var_Q / var_P and k = a (r - 1) this is the whitened form,
+    a delta^2 / (2 var_P (1 + k)) - (log(1 + k) - a log r) / (2 (a - 1)),
+    where 1 + k = w max(r, 1) and var_P (1 + k) = w max(var_P, var_Q):
+    w = a + (1 - a) / r for r > 1, and 1 - a + a r below.
+    """
+    log_r = float(np.log(vq) - np.log(vp))
+    w = a + (1.0 - a) * np.exp(-log_r) if log_r > 0 else 1.0 - a + a * np.exp(log_r)
+    if not w > 0.0:
+        raise DivergenceUndefinedError(
+            f"interpolated covariance alpha*Sigma_Q + (1-alpha)*Sigma_P is not positive definite for alpha={a}"
+        )
+    log_1k = np.log(w) + max(log_r, 0.0)
+    with np.errstate(over="ignore"):  # an offset term beyond float range is inf
+        maha = delta * (delta / max(vp, vq)) / w
+        return _clip_nonneg(0.5 * a * maha - (log_1k - a * log_r) / (2.0 * (a - 1.0)))

@@ -8,8 +8,13 @@ k-nearest-neighbour support metrics cover the alpha -> 0 limiting case.
 Distances come from the product form |x|^2 - 2 x.c + |c|^2 in blocks of at
 most BLOCK_ENTRIES entries, center-major for k-means; decisions within its
 rounding fall to the explicit difference form, so labels and coverage are
-exact. Up to KD_TREE_MAX_DIM, each sample set's k-d tree gives its kNN
-radii and the other set's candidate pairs, which are measured explicitly.
+exact. Lloyd measures again only the samples whose Hamerly bounds (upper
+on the own center, lower on the others) come within a margin above that
+rounding; its stop rule reads the inertia from the cluster sums when a
+proven error bound cannot flip the decision, and from full passes when it
+can (see _lloyd). Up to KD_TREE_MAX_DIM, each sample set's k-d tree gives
+its kNN radii and the other set's candidate pairs, which are measured
+explicitly.
 """
 from __future__ import annotations
 
@@ -82,6 +87,13 @@ class _NearestCenter:
     the labels are those of an exact argmin: the lowest index on ties. The
     squared distance is the product form's minimum, clamped at 0; only it,
     and so Lloyd's inertia, sees the product's rounding.
+
+    A call may measure only the given rows; the band is still that of the
+    whole matrix. With ``runner_up`` it also returns, per row, the smallest
+    squared distance outside the band, or 0 where the band holds more than
+    one entry: Lloyd's lower bounds. The two smallest entries of each
+    column are kept while sweeping the centers, a few vector operations per
+    center.
     """
 
     def __init__(self, samples: np.ndarray, k: int):
@@ -93,29 +105,44 @@ class _NearestCenter:
         # against a 0/1 column: the index of its one 1, and the number of 1s
         self.tally = np.vstack([np.arange(k), np.ones(k)])
 
-    def __call__(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        k, n = centers.shape[0], self.samples.shape[0]
+    def __call__(self, centers: np.ndarray, rows: np.ndarray | None = None, runner_up: bool = False):
+        k = centers.shape[0]
+        n = self.samples.shape[0] if rows is None else rows.size
         cc = (centers * centers).sum(axis=1)
         band = _tie_band(self.sq_max, cc.max())
         cc = cc[:, None]
         labels = np.empty(n, dtype=np.intp)
         best = np.empty(n)
+        second = np.empty(n) if runner_up else None
         for start in range(0, n, self.width):
             stop = min(start + self.width, n)
+            at = slice(start, stop) if rows is None else rows[start:stop]
             a = self.block[:k * (stop - start)].reshape(k, -1)
             # the samples as a transposed view, like c.T in _sqdist; with a
             # contiguous copy BLAS rounds many more entries unlike _sqdist
-            np.matmul(centers, self.samples[start:stop].T, out=a)
+            # (gathered rows round otherwise too, but give only bounds)
+            np.matmul(centers, self.samples[at].T, out=a)
             a *= -2.0
-            a += self.sq[start:stop]
+            a += self.sq[at]
             a += cc
-            low = np.maximum(a.min(axis=0), 0.0, out=best[start:stop])
-            close = np.less_equal(a, low + band, out=a)  # 1.0 within the band, in place
+            if runner_up:  # the two smallest entries of each column, center by center
+                low, low2, high = a[0].copy(), np.full(a.shape[1], np.inf), np.empty(a.shape[1])
+                for row in a[1:]:
+                    np.minimum(low2, np.maximum(low, row, out=high), out=low2)
+                    np.minimum(low, row, out=low)
+            else:
+                low = a.min(axis=0)
+            low = np.maximum(low, 0.0, out=best[start:stop])
+            top = low + band
+            if runner_up:  # the band holds one entry exactly where the second is above it
+                second[start:stop] = np.where(low2 > top, low2, 0.0)
+            close = np.less_equal(a, top, out=a)  # 1.0 within the band, in place
             index, count = self.tally @ close
             labels[start:stop] = index
             for j in np.flatnonzero(count > 1):
-                labels[start + j] = ((self.samples[start + j] - centers) ** 2).sum(axis=1).argmin()
-        return labels, best
+                row = start + j if rows is None else rows[start + j]
+                labels[start + j] = ((self.samples[row] - centers) ** 2).sum(axis=1).argmin()
+        return labels, best, second
 
 
 @dataclass(frozen=True)
@@ -149,41 +176,147 @@ def fit_gaussian(samples, ridge: float = 0.0) -> GaussianParams:
         ) from exc
 
 
-def _kmeans_pp_init(samples: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = samples.shape[0]
-    centers = np.empty((k, samples.shape[1]))
-    centers[0] = samples[rng.integers(n)]
-    d2 = ((samples - centers[0]) ** 2).sum(axis=1)
+def _kmeans_pp_init(columns: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding over the samples held as d x n columns.
+
+    Each squared distance adds (x_j - c_j)^2 over the coordinates in order,
+    one long vector operation per coordinate. Up to d = 7 these are the
+    sums of a row-wise (x - c)^2 sum; from d = 8 NumPy sums a row pairwise,
+    so they may differ from it in the last bits.
+    """
+    d, n = columns.shape
+    centers = np.empty((k, d))
+
+    def sqdist(c):
+        d2 = (columns[0] - c[0]) ** 2
+        for column, cj in zip(columns[1:], c[1:]):
+            d2 += (column - cj) ** 2
+        return d2
+
+    centers[0] = columns[:, rng.integers(n)]
+    d2 = sqdist(centers[0])
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:
-            centers[j] = samples[rng.integers(n)]
+            centers[j] = columns[:, rng.integers(n)]
         else:
-            centers[j] = samples[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, ((samples - centers[j]) ** 2).sum(axis=1))
+            centers[j] = columns[:, rng.choice(n, p=d2 / total)]
+        np.minimum(d2, sqdist(centers[j]), out=d2)
     return centers
 
 
-def _lloyd(samples: np.ndarray, centers: np.ndarray):
-    """Lloyd iterations until the relative inertia change drops below LLOYD_TOL."""
+def _lloyd(samples: np.ndarray, columns: np.ndarray, centers: np.ndarray):
+    """Lloyd iterations until the relative inertia change drops below LLOYD_TOL.
+
+    Returns the centers after the last update, the labels of the last
+    assignment, the number of iterations, and whether the inertia rule
+    stopped them before LLOYD_MAX_ITER: all as if every iteration assigned
+    every sample by a full _NearestCenter pass. The passes measure fewer
+    samples, by Hamerly's bounds ("Making k-means even faster", 2010):
+
+    - Each sample keeps an upper bound u on the distance to its own center
+      and a lower bound l on the distance to every other center, set when
+      it is measured (l = 0 if its band held two centers). After an
+      update, u grows by its center's move and l shrinks by the largest.
+    - A sample is skipped only if l - u > 2 sqrt(band) + 1e-150, the band
+      being the largest tie band so far. Its squared distances then differ
+      by more than the band plus twice the product's rounding, which
+      _tie_band puts far below the band, so a full pass would find its
+      center alone in the band. The 1e-150 covers subnormal rounding.
+    - When more than half the samples are to be measured, all are.
+    - After a partial pass the inertia comes from the update's cluster
+      sums, sum |x|^2 - 2 c.S + n_c |c|^2, which rounds unlike the
+      product-form minimum the stop rule is stated in (as in perfbench's
+      reference). The rule is read from it only when every product-form
+      inertia within _inertia_error of it gives the same decision, and
+      otherwise from full passes at the current and previous centers.
+    """
+    n, d = samples.shape
     k = centers.shape[0]
     nearest = _NearestCenter(samples, k)
-    columns = np.ascontiguousarray(samples.T)
-    prev_inertia = np.inf
-    for _ in range(LLOYD_MAX_ITER):
-        labels, best = nearest(centers)
-        inertia = float(best.sum())
+    labels, best, second = nearest(centers, runner_up=True)
+    upper, lower = np.sqrt(best), np.sqrt(second)
+    inertia, error = float(best.sum()), 0.0  # a full pass gives the product form itself
+    sums = np.empty((k, d))
+    band = 0.0
+    assigned = previous = None
+    for iterations in range(1, LLOYD_MAX_ITER + 1):
+        cc = (centers * centers).sum(axis=1)
+        band = max(band, _tie_band(nearest.sq_max, cc.max()))
+        if iterations > 1:
+            unsure = np.flatnonzero(~(lower - upper > 2.0 * np.sqrt(band) + 1e-150))
+            if 2 * unsure.size > n:
+                labels, best, second = nearest(centers, runner_up=True)
+                upper, lower = np.sqrt(best), np.sqrt(second)
+                inertia, error = float(best.sum()), 0.0
+            else:
+                labels[unsure], best, second = nearest(centers, unsure, runner_up=True)
+                upper[unsure], lower[unsure] = np.sqrt(best), np.sqrt(second)
+                inertia = None
         # bincount adds each cluster's rows in sample order, as a per-cluster
         # mean over axis 0 does for d >= 2; empty clusters keep their center
         counts = np.bincount(labels, minlength=k)
-        sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in columns])
+        for j, col in enumerate(columns):
+            sums[:, j] = np.bincount(labels, weights=col, minlength=k)
+        if inertia is None:
+            sq_sums = np.bincount(labels, weights=nearest.sq, minlength=k)
+            with np.errstate(over="ignore", invalid="ignore"):  # a value out of range sends the rule to full passes
+                inertia = float((sq_sums - 2.0 * (centers * sums).sum(axis=1) + counts * cc).sum())
+                error = _inertia_error(n, d, k, sq_sums.sum() + n * cc.max())
+        previous, assigned = assigned, centers.copy()
         live = counts > 0
         centers[live] = sums[live] / counts[live, None]
-        if prev_inertia < np.inf and prev_inertia > 0:
-            if abs(prev_inertia - inertia) / prev_inertia < LLOYD_TOL:
-                break
-        prev_inertia = inertia
-    return centers, labels
+        if iterations > 1:
+            stop = _stop_rule(prev_inertia, prev_error, inertia, error)
+            if stop is None:
+                if prev_error:
+                    prev_inertia = float(nearest(previous)[1].sum())
+                if error:
+                    inertia, error = float(nearest(assigned)[1].sum()), 0.0
+                stop = _stop_rule(prev_inertia, 0.0, inertia, 0.0)
+            if stop:
+                return centers, labels, iterations, True
+        prev_inertia, prev_error = inertia, error
+        with np.errstate(over="ignore", invalid="ignore"):
+            moves = np.sqrt(((centers - assigned) ** 2).sum(axis=1))
+            upper += np.take(moves, labels)
+            lower -= moves.max()
+    return centers, labels, LLOYD_MAX_ITER, False
+
+
+def _inertia_error(n: int, d: int, k: int, norms: float) -> float:
+    """Bound on |I - J| between the product-form inertia I (the sum of n
+    clamped row minima) and the cluster-sum inertia J, from
+    norms = sum_i |x_i|^2 + n max_c |c|^2 >= sum_i (|x_i|^2 + |c_(label i)|^2).
+
+    With u = 2^-53 and gamma_m = m u / (1 - m u), to first order: a product
+    entry is within 2 (d + 2) u (|x|^2 + |c|^2) of its squared distance,
+    and a label settled by the explicit form moves its row minimum by at
+    most twice that, so I is within 6 gamma_(n+d+2) norms of the exact
+    inertia of the labels. J, through cluster sums of up to n terms,
+    d-term dot products and a k-term sum, is within 9 gamma_(n+d+k+3) norms
+    of it. The bound doubles the sum, and adds n d 2^-1074 to the norms
+    for subnormal rounding.
+    """
+    eps = np.finfo(float).eps  # 2^-52
+    return 16.0 * (n + d + k + 3) * eps * (norms + n * d * np.finfo(float).tiny)
+
+
+def _stop_rule(prev: float, prev_error: float, inertia: float, error: float) -> bool | None:
+    """Lloyd's rule, "the relative inertia change is below LLOYD_TOL", on
+    product-form inertias known to within the given errors: True or False
+    when every pair within them gives that answer, else None."""
+    if prev_error == error == 0.0:
+        return bool(0 < prev < np.inf and abs(prev - inertia) / prev < LLOYD_TOL)
+    if not (np.isfinite(prev + inertia + prev_error + error) and prev > prev_error):
+        return None
+    gap, slack = abs(prev - inertia), prev_error + error
+    # 1e-9 relative covers the rounding of these two quotients and the rule's own
+    if (gap + slack) / (prev - prev_error) < LLOYD_TOL * (1 - 1e-9):
+        return True
+    if (gap - slack) / (prev + prev_error) > LLOYD_TOL * (1 + 1e-9):
+        return False
+    return None
 
 
 def quantize(
@@ -206,9 +339,9 @@ def quantize(
         raise ParameterError(f"k={k} exceeds combined sample count {pooled.shape[0]}")
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
-    rng = np.random.default_rng(seed)
-    centers = _kmeans_pp_init(pooled, k, rng)
-    centers, _ = _lloyd(pooled, centers)
+    columns = np.ascontiguousarray(pooled.T)
+    centers = _kmeans_pp_init(columns, k, np.random.default_rng(seed))
+    centers = _lloyd(pooled, columns, centers)[0]
     model = QuantizationModel(centers=centers, k=k, seed=seed)
     hist_p = np.bincount(model.assign(samples_p), minlength=k) + SMOOTHING_EPS
     hist_q = np.bincount(model.assign(samples_q), minlength=k) + SMOOTHING_EPS

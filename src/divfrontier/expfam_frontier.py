@@ -15,7 +15,9 @@ lambda = 1 and theta_Q at lambda = 0 (this orientation is normalized only
 in CSV output, see :mod:`divfrontier.io`). :func:`frontier_kl` and
 :func:`kl_endpoints` evaluate Gaussians in closed form from one whitened
 pair, as per-axis sums; in 1-D, :func:`kl_endpoints` works from the raw
-variances instead (see :func:`divergences._kl_1d`).
+variances instead (see :func:`divergences._kl_1d`), and so does
+:func:`frontier_kl` for variances beyond float range of each other (see
+:func:`divergences._far_1d`).
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numpy as np
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_grid_size, _check_lambda_unit, _check_side
 from .discrete_frontier import _pareto_filter_triples, _row_blocks
 from .distributions import Alpha, GaussianParams
-from .divergences import INF, _clip_nonneg, _kl_1d, _kl_axes, _whitened_pair
+from .divergences import INF, _clip_nonneg, _far_1d, _kl_1d, _kl_axes, _whitened_pair
 from .errors import ParameterError
 
 
@@ -213,15 +215,24 @@ def frontier_kl(
     precision lambda/t + (1-lambda)/s, so each KL is a sum of d 1-D KLs; an
     inclusive point adds lambda(1-lambda)(a-b)(a-b)' to a diagonal
     covariance, handled by the determinant lemma and Sherman-Morrison.
+    1-D variances more than e^690 apart, which whitening would underflow,
+    take the same losses in logs (_frontier_far_1d).
     """
     _check_side(side)
     _check_grid_size(grid_size)
+    far = _far_1d(P, Q)
+    ends = FrontierCurve(((0.0, INF, 0.0), (1.0, 0.0, INF)), side, Alpha.one())
+    lams = np.linspace(0.0, 1.0, grid_size)
+    if far is not None:
+        if not np.isfinite(far[2]):
+            return ends
+        div_p, div_q = _frontier_far_1d(*far, lams, side)
+        return FrontierCurve(_pareto_filter_triples(list(zip(lams.tolist(), div_p, div_q))), side, Alpha.one())
     t, s, d2 = _whitened_pair(P, Q)
     if not np.isfinite(d2.sum()):
         # the squared mean offset overflows, so 0 * inf would make NaN of
         # the exact ends and the interior losses are out of float range
-        return FrontierCurve(((0.0, INF, 0.0), (1.0, 0.0, INF)), side, Alpha.one())
-    lams = np.linspace(0.0, 1.0, grid_size)
+        return ends
     divs = []
     for block in _row_blocks(lams, t.size):
         lam, mu = block[:, None], 1.0 - block[:, None]
@@ -240,6 +251,32 @@ def frontier_kl(
         divs.append([_clip_nonneg(_kl_axes(r, m) + 0.5 * log_k) for r, m in ((r_p, m_p), (r_q, m_q))])
     div_p, div_q = (np.concatenate(d).tolist() for d in zip(*divs))
     return FrontierCurve(_pareto_filter_triples(list(zip(lams.tolist(), div_p, div_q))), side, Alpha.one())
+
+
+def _frontier_far_1d(vp: float, vq: float, delta: float, lams: np.ndarray, side: str) -> tuple[list, list]:
+    """frontier_kl's two losses for 1-D Gaussians whose variances are beyond
+    float range of each other (see divergences._far_1d), in logs.
+
+    Exclusive: the precision times var_P and var_Q is r_p = lam + mu var_P/var_Q
+    and r_q = lam var_Q/var_P + mu, each KL is (1/r - 1 + log r + m)/2 with
+    m_p = mu^2 delta^2 / (var_Q r_p r_q) and m_q = lam^2 delta^2 / (var_P r_p r_q).
+    Inclusive: gamma has variance v = lam var_P + mu var_Q + lam mu delta^2, and
+    KL(P || gamma) = (var_P/v - 1 - log(var_P/v) + mu^2 delta^2 / v)/2, Q alike.
+    Each log is a log-sum-exp of the terms' logs, so no ratio leaves float
+    range; at its own end each loss is exactly 0.
+    """
+    lp, lq = np.log(vp), np.log(vq)
+    with np.errstate(divide="ignore", over="ignore"):  # log 0 = -inf and exp of it 0; far values are inf
+        log_lam, log_mu, log_d2 = np.log(lams), np.log(1.0 - lams), 2.0 * np.log(delta)
+        if side == EXCLUSIVE:
+            log_rp, log_rq = np.logaddexp(log_lam, log_mu + lp - lq), np.logaddexp(log_lam + lq - lp, log_mu)
+            shift = log_d2 - log_rp - log_rq
+            terms = ((-log_rp, 2.0 * log_mu + shift - lq), (-log_rq, 2.0 * log_lam + shift - lp))
+        else:
+            log_v = np.logaddexp(np.logaddexp(log_lam + lp, log_mu + lq), log_lam + log_mu + log_d2)
+            terms = ((lp - log_v, 2.0 * log_mu + log_d2 - log_v), (lq - log_v, 2.0 * log_lam + log_d2 - log_v))
+        # (x - 1 - log x + m) / 2 from log x and log m
+        return tuple(_clip_nonneg(0.5 * (np.exp(x) - 1.0 - x + np.exp(m))).tolist() for x, m in terms)
 
 
 def kl_endpoints(P: GaussianParams, Q: GaussianParams) -> tuple[float, float]:

@@ -57,10 +57,35 @@ def test_summary_of_canned_pairs():
         "ops_per_s change: median 43.5 ops/s, quartiles 34.25-47.75",
         # the tied second pair counts for neither side
         "ops_per_s change wins 3/4 pairs (higher is better)",
+        # 3 of 4 is below 9 of 10, however large the gain
+        "ops_per_s claim fails: wins 3/4 (needs 9/10), median gain 25.5 against parent quartile spread 0.75",
+        "ops_per_s bound kept: median -142% worse than the parent (bound 25%)",
         "op_p50_s parent: median 0.03 s, quartiles 0.02975-0.03025",
         "op_p50_s change: median 0.0115 s, quartiles 0.01075-0.01675",
         "op_p50_s change wins 3/4 pairs (lower is better)",
+        "op_p50_s claim fails: wins 3/4 (needs 9/10), median gain 0.0185 against parent quartile spread 0.0005",
+        "op_p50_s bound kept: median -61.7% worse than the parent (bound 25%)",
     ]
+
+
+def test_verdict_of_ten_canned_pairs():
+    # the change is faster in 9 of 10 pairs by more than the parent's
+    # quartile spread, and its latency median is 30% worse, beyond 25%
+    parent = [(3.0 + 0.01 * i, 0.30) for i in range(10)]
+    change = [(3.5, 0.39)] * 9 + [(2.9, 0.39)]
+    pairs = [{"parent": bench_pairs.parse_result(canned(*p)), "change": bench_pairs.parse_result(canned(*c))}
+             for p, c in zip(parent, change)]
+    lines = bench_pairs.summarize(pairs, METRICS)
+    assert "ops_per_s change wins 9/10 pairs (higher is better)" in lines
+    assert "ops_per_s claim holds: wins 9/10 (needs 9/10), median gain 0.455 against parent quartile spread 0.045" in lines
+    assert "ops_per_s bound kept: median -14.9% worse than the parent (bound 25%)" in lines
+    assert "op_p50_s claim fails: wins 0/10 (needs 9/10), median gain -0.09 against parent quartile spread 0" in lines
+    assert "op_p50_s bound exceeded: median +30% worse than the parent (bound 25%)" in lines
+    # a gain within the parent's quartile spread is no claim, even in 10/10 pairs
+    wide = [(3.0 + 0.2 * i, 0.30) for i in range(10)]
+    pairs = [{"parent": bench_pairs.parse_result(canned(*p)), "change": bench_pairs.parse_result(canned(p[0] + 0.1, 0.3))}
+             for p in wide]
+    assert bench_pairs.summarize(pairs, METRICS[:1])[5].startswith("ops_per_s claim fails: wins 10/10")
 
 
 def test_one_pair_has_its_value_as_quartiles():

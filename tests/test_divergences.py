@@ -15,6 +15,7 @@ from divfrontier import (
     bernoulli_family,
     bregman_kl,
     divergence_quadrature,
+    frontier_kl,
     funk_metric,
     gaussian_family,
     gaussian_to_natural,
@@ -25,6 +26,7 @@ from divfrontier import (
     renyi_gaussian,
 )
 from divfrontier.divergences import _clip_nonneg as clip_nonneg
+from divfrontier import divergences
 from divfrontier.divergences import _whitened_pair, logsumexp, renyi_rows
 from tests.conftest import conditioned_gaussian, random_gaussian, random_histogram
 
@@ -599,6 +601,30 @@ def mp_gaussian_renyi(P, Q, alphas):
         return out
 
 
+def mp_frontier_kl_point(P, Q, side, lam):
+    """The two losses of 1-D frontier_kl at lam, in 50-digit arithmetic:
+    exclusive (KL(g || P), KL(g || Q)) for g of precision lam/var_P + (1-lam)/var_Q,
+    inclusive (KL(P || g), KL(Q || g)) for g with the mixture's mean and variance."""
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(float(P.mean[0])), mpmath.mpf(float(Q.mean[0]))
+        vp, vq = mpmath.mpf(float(P.cov[0, 0])), mpmath.mpf(float(Q.cov[0, 0]))
+        lam = mpmath.mpf(lam)
+        mu = 1 - lam
+
+        def kl(m1, v1, m2, v2):
+            return (v1 / v2 - 1 - mpmath.log(v1 / v2) + (m1 - m2) ** 2 / v2) / 2
+
+        if side == "exclusive":
+            if lam == 0 or mu == 0:
+                g = (b, vq) if lam == 0 else (a, vp)
+            else:
+                prec = lam / vp + mu / vq
+                g = ((lam * a / vp + mu * b / vq) / prec, 1 / prec)
+            return kl(*g, a, vp), kl(*g, b, vq)
+        g = (lam * a + mu * b, lam * vp + mu * vq + lam * mu * (a - b) ** 2)
+        return kl(a, vp, *g), kl(b, vq, *g)
+
+
 def gaussian_equivalence_pair(d, kind):
     """(P, Q, cond) for one fixture: random pairs at three conditionings,
     a shared covariance, Sigma_Q a multiple of Sigma_P (on either side of
@@ -762,6 +788,55 @@ class TestGaussianInfinityRawVariances:
                 assert got == INF
             else:
                 assert abs(got - float(want)) <= 1e-12 * float(want), (got, float(want))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pair", INFINITY_1D_PAIRS)
+    def test_finite_alpha_matches_mpmath(self, pair):
+        # whitening refused the 1e-300/1e300 pair as singular at every finite
+        # alpha; on the other pairs this pins the whitened path's accuracy
+        P, Q = (GaussianParams([m], [[v]]) for m, v in pair)
+        alphas = [Alpha.parse(a) for a in ("1e-3", "0.5", "2", "1e4")]
+        for A, B in ((P, Q), (Q, P)):
+            for alpha, want in zip(alphas, mp_gaussian_renyi(A, B, alphas)):
+                got = _outcome(renyi_gaussian, A, B, alpha)
+                if want is None:
+                    assert got is DivergenceUndefinedError, str(alpha)
+                else:
+                    assert _within(got, float(want), A, B, alpha, 1e-12), (str(alpha), got, float(want))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("pair", INFINITY_1D_PAIRS)
+    @pytest.mark.parametrize("side", ["exclusive", "inclusive"])
+    def test_frontier_kl_matches_mpmath(self, pair, side):
+        # as above: the far pair raised, the others pin the whitened path
+        P, Q = (GaussianParams([m], [[v]]) for m, v in pair)
+        for A, B in ((P, Q), (Q, P)):
+            curve = frontier_kl(A, B, side, 11)
+            for lam, got_p, got_q in curve.points:
+                for got, want in zip((got_p, got_q), mp_frontier_kl_point(A, B, side, lam)):
+                    if float(want) == INF:  # beyond float range
+                        assert got == INF
+                    else:
+                        assert abs(got - float(want)) <= 1e-12 * max(1.0, float(want)), (lam, got, float(want))
+
+    @pytest.mark.parametrize("pair", [((0.0, 1.0), (0.3, 7.0)), ((1.0, 5.0), (-2.0, 0.01)), ((3.0, 2.0), (3.0, 1e9))])
+    def test_far_forms_agree_with_the_whitened_ones(self, pair, monkeypatch):
+        # the log forms for variances beyond float range of each other, used
+        # here on ratios the whitened pair handles too
+        P, Q = (GaussianParams([m], [[v]]) for m, v in pair)
+        alphas = [Alpha.parse(a) for a in ("1e-3", "0.5", "2", "1e4")]
+        want = [frontier_kl(P, Q, side, 101).points for side in ("exclusive", "inclusive")]
+        want_renyi = [_outcome(renyi_gaussian, P, Q, alpha) for alpha in alphas]
+        monkeypatch.setattr(divergences, "FAR_LOG_RATIO", 0.5)
+        assert divergences._far_1d(P, Q) is not None
+        for side, points in zip(("exclusive", "inclusive"), want):
+            got = frontier_kl(P, Q, side, 101).points
+            assert [g[0] for g in got] == [w[0] for w in points]
+            for g, w in zip(got, points):
+                assert g[1:] == pytest.approx(w[1:], rel=1e-13, abs=1e-15)
+        for alpha, w in zip(alphas, want_renyi):
+            got = _outcome(renyi_gaussian, P, Q, alpha)
+            assert got == w if isinstance(w, type) else got == pytest.approx(w, rel=1e-13, abs=1e-15)
 
     def test_kl_beyond_float_range_of_each_other(self):
         P, Q = GaussianParams([0.0], [[1e-300]]), GaussianParams([1.0], [[1e300]])

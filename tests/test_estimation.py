@@ -2,6 +2,8 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from divfrontier import estimation
@@ -234,40 +236,62 @@ def _frozen_nearest(x, c):
     return labels, best
 
 
-def frozen_lloyd(samples, centers):
-    """Returns the centers, the labels and the number of iterations."""
+def frozen_lloyd(samples, centers, tol=1e-6):
+    """Returns the centers, the labels, the number of iterations, whether
+    the inertia rule stopped them, and the product-form inertia of each."""
     k = centers.shape[0]
     columns = np.ascontiguousarray(samples.T)
     prev_inertia = np.inf
+    inertias = []
     for iterations in range(1, 301):
         labels, best = _frozen_nearest(samples, centers)
         inertia = float(best.sum())
+        inertias.append(inertia)
         counts = np.bincount(labels, minlength=k)
         sums = np.column_stack([np.bincount(labels, weights=col, minlength=k) for col in columns])
         live = counts > 0
         centers[live] = sums[live] / counts[live, None]
         if prev_inertia < np.inf and prev_inertia > 0:
-            if abs(prev_inertia - inertia) / prev_inertia < 1e-6:
-                break
+            if abs(prev_inertia - inertia) / prev_inertia < tol:
+                return centers, labels, iterations, True, inertias
         prev_inertia = inertia
-    return centers, labels, iterations
+    return centers, labels, iterations, False, inertias
 
 
-def assert_lloyd_matches_frozen(pooled, k, monkeypatch):
-    calls = []
+def frozen_kmeans_pp_init(samples, k, rng):
+    """_kmeans_pp_init before it read the samples as columns: row-wise sums."""
+    n = samples.shape[0]
+    centers = np.empty((k, samples.shape[1]))
+    centers[0] = samples[rng.integers(n)]
+    d2 = ((samples - centers[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            centers[j] = samples[rng.integers(n)]
+        else:
+            centers[j] = samples[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((samples - centers[j]) ** 2).sum(axis=1))
+    return centers
 
-    class CountingNearest(estimation._NearestCenter):
-        def __call__(self, centers):
-            calls.append(1)
-            return super().__call__(centers)
 
-    monkeypatch.setattr(estimation, "_NearestCenter", CountingNearest)
-    init = estimation._kmeans_pp_init(pooled, k, np.random.default_rng(3))
-    centers, labels = estimation._lloyd(pooled, init.copy())
-    want_centers, want_labels, want_iterations = frozen_lloyd(pooled, init.copy())
+def kmeans_pp_init(pooled, k):
+    return estimation._kmeans_pp_init(np.ascontiguousarray(pooled.T), k, np.random.default_rng(3))
+
+
+def lloyd(pooled, init):
+    """_lloyd on a copy of the initial centers."""
+    return estimation._lloyd(pooled, np.ascontiguousarray(pooled.T), init.copy())
+
+
+def assert_lloyd_matches_frozen(pooled, k, tol=1e-6):
+    # the iteration count is the one _lloyd returns: its bounded passes are
+    # not one full pass per iteration, so counting passes would not give it
+    init = kmeans_pp_init(pooled, k)
+    centers, labels, iterations, converged = lloyd(pooled, init)
+    want_centers, want_labels, want_iterations, want_converged, _ = frozen_lloyd(pooled, init.copy(), tol)
     assert np.array_equal(centers, want_centers)
     assert np.array_equal(labels, want_labels)
-    assert len(calls) == want_iterations
+    assert (iterations, converged) == (want_iterations, want_converged)
 
 
 def fraction_covered(anchors, queries, k):
@@ -392,8 +416,8 @@ class TestDistanceKernelEquivalence:
         p, q = EQUIVALENCE_FIXTURES[name]()
         pooled = np.vstack([p, q])
         for k in (2, 7):
-            init = estimation._kmeans_pp_init(pooled, k, np.random.default_rng(3))
-            centers, labels = estimation._lloyd(pooled, init.copy())
+            init = kmeans_pp_init(pooled, k)
+            centers, labels = lloyd(pooled, init)[:2]
             want_centers, want_labels = lloyd_reference(pooled, init.copy())
             assert np.array_equal(labels, want_labels)
             if pooled.shape[1] > 1:
@@ -422,7 +446,7 @@ class TestDistanceKernelEquivalence:
         for max_dim in (0, 1000):  # product blocks, then k-d candidate pairs
             monkeypatch.setattr(estimation, "KD_TREE_MAX_DIM", max_dim)
             assert fraction_covered(p, q, 3) == want
-        assert_lloyd_matches_frozen(np.vstack([p, q]), 7, monkeypatch)
+        assert_lloyd_matches_frozen(np.vstack([p, q]), 7)
 
 
 # the product form's inertia is not the difference form's here, so this
@@ -431,10 +455,116 @@ FROZEN_FIXTURES = {**EQUIVALENCE_FIXTURES, "all-in-band-d2": _all_in_band}
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_FIXTURES))
-def test_lloyd_matches_frozen_kernel(name, monkeypatch):
+def test_lloyd_matches_frozen_kernel(name):
     p, q = FROZEN_FIXTURES[name]()
     for k in (2, 7, 20):
-        assert_lloyd_matches_frozen(np.vstack([p, q]), k, monkeypatch)
+        assert_lloyd_matches_frozen(np.vstack([p, q]), k)
+
+
+def _bench_modes(d, rng):
+    # shaped like the embed-modes-d4 benchmark: 10 modes, P from all, Q from 7
+    layout = 6.0 * np.random.default_rng(7).normal(size=(10, d))
+    p = layout[rng.integers(10, size=10_000)] + rng.normal(size=(10_000, d))
+    q = layout[rng.integers(7, size=10_000)] + 0.7 * rng.normal(size=(10_000, d))
+    return p, q
+
+
+def _bench_gaussian(d, rng):
+    # shaped like the embed-d64 benchmark
+    return rng.normal(size=(2000, d)), 0.8 * rng.normal(size=(2000, d)) + 0.3
+
+
+@pytest.mark.parametrize("bench", [_bench_modes, _bench_gaussian])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lloyd_matches_frozen_on_benchmark_shaped_inputs(bench, seed):
+    p, q = bench(4 if bench is _bench_modes else 64, np.random.default_rng(seed))
+    assert_lloyd_matches_frozen(np.vstack([p, q]), 20)
+
+
+def _widened(x, d):
+    """The rows of x over d columns: column j is column j % x.shape[1],
+    scaled and shifted by j, so duplicates and shared rows stay so."""
+    j = np.arange(d)
+    return x[:, j % x.shape[1]] * (1.0 + j / 7.0) + j
+
+
+# (x - c)^2 added column by column equals NumPy's row sum up to d = 7; from
+# d = 8 the row sum is pairwise and may differ in the last bits, and these
+# check that no draw of k-means++ moves on the fixtures and benchmark shapes
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 64])
+def test_kmeans_pp_init_matches_frozen(d):
+    inputs = [np.vstack(make()) for make in EQUIVALENCE_FIXTURES.values()]
+    inputs += [np.vstack(bench(d, np.random.default_rng(5))) for bench in (_bench_modes, _bench_gaussian)]
+    for x in inputs:
+        x = _widened(x, d)
+        for k in (2, 7, 20):
+            got = kmeans_pp_init(x, k)
+            assert np.array_equal(got, frozen_kmeans_pp_init(x, k, np.random.default_rng(3)))
+
+
+@pytest.mark.parametrize("name", ["modes-d4", "shared-rows", "d1", "lattice-ties-d16-scaled"])
+def test_stop_decisions_at_the_tolerance_edge(name, monkeypatch):
+    # With LLOYD_TOL at the product-form relative change of an iteration,
+    # the rule goes on there; one ulp above it, the rule stops there. The
+    # cluster-sum inertia of the bounded passes rounds otherwise, so these
+    # decisions are kept only by falling back to full passes where its
+    # error bound straddles the tolerance. Deciding from the cluster sums
+    # alone stops early or late on these fixtures.
+    pooled = np.vstack(EQUIVALENCE_FIXTURES[name]())
+    k = 7
+    inertias = frozen_lloyd(pooled, kmeans_pp_init(pooled, k))[4]
+    for prev, cur in zip(inertias, inertias[1:]):
+        change = abs(prev - cur) / prev
+        for tol in (change, np.nextafter(change, 1.0)):
+            monkeypatch.setattr(estimation, "LLOYD_TOL", tol)
+            assert_lloyd_matches_frozen(pooled, k, tol)
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e4])
+@pytest.mark.parametrize("name", ["modes-d4", "d1", "lattice-ties"])
+def test_skipped_samples_have_one_center_in_the_band(name, offset, monkeypatch):
+    # The bounds skip a sample only when a full pass would find its own
+    # center alone in the tie band, so its label cannot change. At an
+    # offset of 1e4 the band (~0.2 in squared distance) is near the spread,
+    # and a bound gap above 0 but below the margin does not imply it.
+    pooled = np.vstack(EQUIVALENCE_FIXTURES[name]()) + offset
+    skipped = []
+    measure = estimation._NearestCenter.__call__
+
+    def checked(self, centers, rows=None, runner_up=False):
+        if rows is not None:
+            full_labels, _, second = measure(self, centers, runner_up=True)
+            rest = np.setdiff1d(np.arange(self.samples.shape[0]), rows)
+            skipped.append(rest.size)
+            assert np.all(second[rest] > 0.0)
+        return measure(self, centers, rows, runner_up)
+
+    monkeypatch.setattr(estimation._NearestCenter, "__call__", checked)
+    for k in (2, 7, 20):
+        lloyd(pooled, kmeans_pp_init(pooled, k))
+    assert sum(skipped) > 0
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_FIXTURES))
+def test_nearest_center_rows_and_lower_bounds(name):
+    pooled = np.vstack(FROZEN_FIXTURES[name]())
+    for k in (2, 7):
+        centers = kmeans_pp_init(pooled, k)
+        nearest = estimation._NearestCenter(pooled, k)
+        labels, best, second = nearest(centers, runner_up=True)
+        plain = nearest(centers)
+        assert np.array_equal(labels, plain[0]) and np.array_equal(best, plain[1]) and plain[2] is None
+        # measuring some rows gives their labels and bounds of a full pass
+        rows = np.flatnonzero(np.arange(pooled.shape[0]) % 3 == 1)
+        some = nearest(centers, rows, runner_up=True)
+        assert np.array_equal(some[0], labels[rows])
+        # the runner-up is a lower bound on every other center's squared
+        # distance, to within the product form's rounding
+        explicit = ((pooled[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        explicit[np.arange(pooled.shape[0]), labels] = np.inf
+        slack = 1e-12 * ((pooled * pooled).sum(axis=1).max() + (centers * centers).sum(axis=1).max())
+        assert np.all(second <= explicit.min(axis=1) + slack)
+        assert np.all(second >= 0.0)
 
 
 @pytest.mark.parametrize("name", ["gaussian-d64", "modes-d4"])
@@ -536,3 +666,66 @@ class TestPipeline:
         r2 = evaluate_pipeline(xp, xq, PipelineConfig(k_clusters=5, grid_size=51, seed=7))
         np.testing.assert_array_equal(r1.histogram_p.probs, r2.histogram_p.probs)
         assert r1.prd.points == r2.prd.points
+
+
+# Property tests against the definitions, on inputs hypothesis draws: rows on
+# a lattice of step 1/4 (so every difference and sum of squares below is
+# exact, and ties are exact ties), duplicated rows, rows shared between P
+# and Q, an optional offset of 1e8 (where the product form's tie band holds
+# every distance), and d across the k-d tree's limit. Sizes are capped only
+# to bound run time: at most 40 rows per set. The assign and kNN tests pin
+# behaviour that Lloyd's bounds do not touch.
+
+PROPERTY_DIMS = (1, 4, 12, 13, 64)
+
+
+@st.composite
+def sample_pairs(draw):
+    d = draw(st.sampled_from(PROPERTY_DIMS))
+    lattice = st.integers(-12, 12).map(lambda v: v / 4.0)
+    distinct = draw(st.lists(st.lists(lattice, min_size=d, max_size=d), min_size=1, max_size=12))
+    rows = np.array(distinct)
+    pick = st.lists(st.integers(0, len(distinct) - 1), min_size=5, max_size=40)
+    p, q = rows[draw(pick)], rows[draw(pick)]  # repeated indices duplicate rows; both sets share rows
+    offset = draw(st.sampled_from([0.0, 1e8]))
+    return p + offset, q + offset
+
+
+def knn_reference(samples_p, samples_q, k):
+    """knn_support_metrics by its definition, with every distance measured
+    by the explicit difference form: O(n^2)."""
+
+    def dist(a, b):
+        return np.sqrt(((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2))
+
+    def covered(anchors, queries):
+        radii = np.sort(dist(anchors, anchors), axis=1)[:, k]  # index 0 is the anchor itself
+        return np.count_nonzero((dist(queries, anchors) <= radii[None, :]).any(axis=1)) / queries.shape[0]
+
+    return covered(samples_p, samples_q), covered(samples_q, samples_p)
+
+
+@given(pair=sample_pairs(), k=st.integers(2, 5), seed=st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_assign_is_the_explicit_argmin(pair, k, seed):
+    p, q = pair
+    _, _, model = quantize(p, q, k, seed)
+    for x in (p, q):
+        # np.argmin takes the lowest index on ties
+        assert np.array_equal(model.assign(x), assign_reference(x, model.centers))
+
+
+@given(pair=sample_pairs(), k=st.integers(2, 5))
+@settings(max_examples=60, deadline=None)
+def test_lloyd_is_the_frozen_lloyd(pair, k):
+    pooled = np.vstack(pair)
+    assume(k <= pooled.shape[0])
+    assert_lloyd_matches_frozen(pooled, k)
+
+
+@given(pair=sample_pairs(), k=st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_knn_support_metrics_by_definition(pair, k):
+    p, q = pair
+    assume(k < min(p.shape[0], q.shape[0]))
+    assert knn_support_metrics(p, q, k) == knn_reference(p, q, k)

@@ -308,6 +308,18 @@ class TestCli:
         assert main(["endpoints", "--p", p, "--q", q, "--output", str(out)]) == 0
         assert out.read_text().splitlines()[1] == "inf,690.2755278982137"
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("side", ["exclusive", "inclusive"])
+    def test_frontier_with_variances_beyond_float_range_of_each_other(self, tmp_path, side):
+        # whitening underflowed 1e-300 / 1e300 and exited 1 as singular
+        p = write(tmp_path / "p.json", json.dumps({"type": "gaussian", "mean": [0.0], "cov": [[1e-300]]}))
+        q = write(tmp_path / "q.json", json.dumps({"type": "gaussian", "mean": [1.0], "cov": [[1e300]]}))
+        out = tmp_path / "f.csv"
+        argv = ["frontier", "--p", p, "--q", q, "--alpha", "1", "--side", side, "--grid-size", "5", "--output", str(out)]
+        assert main(argv) == 0
+        rows = out.read_text().splitlines()
+        assert len(rows) == 6 and "690.2755278982137" in rows[-1] + rows[1]
+
     @pytest.mark.parametrize("scale", [1.0, 1e8])
     def test_endpoints_refuse_an_asymmetric_covariance(self, tmp_path, scale):
         cov = (scale * np.array([[1.0, 0.5], [0.2, 1.0]])).tolist()
