@@ -22,7 +22,10 @@ EXCLUSIVE = "exclusive"
 INCLUSIVE = "inclusive"
 _SIDES = (EXCLUSIVE, INCLUSIVE)
 MAX_GRID_SIZE = 10_000  # largest lambda grid a frontier accepts; its memory is bounded by the blocks
-_BLOCK_ENTRIES = 1 << 20  # entries of one (lambda rows x n or d) or (curve x front) block
+# entries of one (lambda rows x n or d), (grid rows x n) or (curve x front) block:
+# a float block is 512 KiB, so the few arrays a kernel keeps live on it fit a
+# 2 MiB per-core L2 cache
+_BLOCK_ENTRIES = 1 << 16
 _PREFILTER_MIN = 1024  # pareto_filter prunes inputs of this many points by a sample's front first
 
 

@@ -32,11 +32,17 @@ def logsumexp(x, axis=None):
     Shifted by the maximum so that terms near +-700 neither overflow nor
     underflow; a row whose terms are all -inf gives -inf.
     """
-    x = np.asarray(x, dtype=float)
-    top = np.max(x, axis=axis, keepdims=True)
+    return _logsumexp_in_place(np.array(x, dtype=float), axis)
+
+
+def _logsumexp_in_place(x: np.ndarray, axis):
+    """logsumexp of a float array, which is overwritten by exp(x - max)."""
+    top = x.max(axis=axis, keepdims=True)
     top[~np.isfinite(top)] = 0.0
+    x -= top
+    np.exp(x, out=x)
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)) + top
+        out = np.log(x.sum(axis=axis, keepdims=True)) + top
     return np.squeeze(out, axis=axis)[()]
 
 
@@ -56,27 +62,65 @@ def renyi_rows(x: np.ndarray, y: np.ndarray, alpha: Alpha) -> np.ndarray:
     where the supports are disjoint. Finite orders use a max-shifted
     log-sum-exp so that very large alpha (up to ~1e4) stays in range;
     alpha = 0 is -log of y_i's mass on x_i's support.
+
+    The terms are built in place in one working array t of the broadcast
+    shape: the log of x (of y, if only y has many rows) is written into t
+    and the other operand's log term is added to it (a * log x +
+    (1 - a) * log y at finite orders, in either order, since IEEE addition
+    commutes; log x - log y, times x at order 1). Entries off x's support
+    are set by assignment, only where x has a zero. Row sums depend on
+    layout: from 8 bins NumPy adds a C-order row pairwise and the rows of an
+    F-order array in sequence. So t is laid out as NumPy lays out x - y,
+    and each value is the one the whole-array expressions would give.
+
+    The total-variation check measures only candidate rows: a row can have
+    0.5 * sum_j |x_j - y_j| <= EQUALITY_TOL only if 0.5 * |x_0 - y_0| is,
+    because a rounded sum of nonnegative terms is never below any of its
+    terms. The candidates are summed in t's order (in sequence, by a
+    cumulative sum, where t is F-order), so no row's verdict changes.
     """
     x, y = np.atleast_2d(x, y)
     xsupp = x > 0
+    t = np.nditer((x, y, None), ["zerosize_ok"], op_dtypes=(None, None, float)).operands[2]  # laid out as x - y
+    many, one = (x, y) if x.shape == t.shape else (y, x)
     # terms off x's support are masked out. On it, a zero of y gives a +inf
     # term at orders >= 1 (a support violation) and a -inf one below 1, where
     # a row without shared support sums to -inf and 1/(a - 1) < 0 makes it +inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        log_x, log_y = np.log(x), np.log(y)
         if alpha.is_zero:
-            out = -np.log(np.where(xsupp, y, 0.0).sum(axis=1))
-        elif alpha.is_one:
-            out = np.where(xsupp, x * (log_x - log_y), 0.0).sum(axis=1)
-        elif alpha.is_infinity:
-            out = np.where(xsupp, log_x - log_y, -INF).max(axis=1)
+            np.copyto(t, y)
         else:
-            a = alpha.value
-            terms = np.where(xsupp, a * log_x + (1.0 - a) * log_y, -INF)
-            out = logsumexp(terms, axis=1) / (a - 1.0)
+            np.log(many, out=t)
+            log_one = np.log(one)
+            if not (alpha.is_one or alpha.is_infinity):
+                a = alpha.value
+                a_many, a_one = (a, 1.0 - a) if many is x else (1.0 - a, a)
+                t *= a_many
+                t += a_one * log_one
+            elif many is x:
+                t -= log_one
+            else:
+                np.subtract(log_one, t, out=t)
+            if alpha.is_one:
+                t *= x
+        if not xsupp.all():
+            np.copyto(t, 0.0 if alpha.is_zero or alpha.is_one else -INF, where=~xsupp)
+        if alpha.is_zero:
+            out = -np.log(t.sum(axis=1))
+        elif alpha.is_one:
+            out = t.sum(axis=1)
+        elif alpha.is_infinity:
+            out = t.max(axis=1)
+        else:
+            out = _logsumexp_in_place(t, axis=1) / (a - 1.0)
     out = _clip_nonneg(out)
     if not alpha.is_infinity:
-        out[0.5 * np.abs(x - y).sum(axis=1) <= EQUALITY_TOL] = 0.0
+        rows = (0.5 * np.abs(x[:, 0] - y[:, 0]) <= EQUALITY_TOL).nonzero()[0]
+        if rows.size:
+            # mode "clip" gives a single-row operand's row to every candidate
+            d = np.abs(x.take(rows, axis=0, mode="clip") - y.take(rows, axis=0, mode="clip"))
+            tv = d.sum(axis=1) if t.flags.c_contiguous else np.cumsum(d, axis=1)[:, -1]
+            out[rows[0.5 * tv <= EQUALITY_TOL]] = 0.0
     return out
 
 

@@ -1,9 +1,18 @@
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
 from divfrontier import GaussianParams, Histogram, discrete_frontier, pareto_filter
+
+# On a failing example the hypothesis plugin imports this module, which pulls
+# in libcst, whose import warns; under filterwarnings = error that warning
+# would end the run with INTERNALERROR and lose the falsifying example.
+# Imported once here, that import has already happened.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message="mypy_extensions.TypedDict is deprecated", category=DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 def random_histogram(rng, n, floor=0.0):
@@ -57,3 +66,35 @@ def rows_per_block(rows, width):
         yield
     finally:
         discrete_frontier._BLOCK_ENTRIES = saved
+
+
+def _frozen_logsumexp(x, axis=None):
+    x = np.asarray(x, dtype=float)
+    top = np.max(x, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(x - top), axis=axis, keepdims=True)) + top
+    return np.squeeze(out, axis=axis)[()]
+
+
+def frozen_renyi_rows(x, y, alpha):
+    """divergences.renyi_rows before it worked in place: one temporary per
+    step, and the total-variation check over every row of the broadcast x - y."""
+    x, y = np.atleast_2d(x, y)
+    xsupp = x > 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        log_x, log_y = np.log(x), np.log(y)
+        if alpha.is_zero:
+            out = -np.log(np.where(xsupp, y, 0.0).sum(axis=1))
+        elif alpha.is_one:
+            out = np.where(xsupp, x * (log_x - log_y), 0.0).sum(axis=1)
+        elif alpha.is_infinity:
+            out = np.where(xsupp, log_x - log_y, -np.inf).max(axis=1)
+        else:
+            a = alpha.value
+            terms = np.where(xsupp, a * log_x + (1.0 - a) * log_y, -np.inf)
+            out = _frozen_logsumexp(terms, axis=1) / (a - 1.0)
+    out = np.where((out > -1e-12) & (out < 0.0), 0.0, out)
+    if not alpha.is_infinity:
+        out[0.5 * np.abs(x - y).sum(axis=1) <= 1e-12] = 0.0
+    return out

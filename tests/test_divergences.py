@@ -28,7 +28,8 @@ from divfrontier import (
 from divfrontier.divergences import _clip_nonneg as clip_nonneg
 from divfrontier import divergences
 from divfrontier.divergences import _whitened_pair, logsumexp, renyi_rows
-from tests.conftest import conditioned_gaussian, random_gaussian, random_histogram
+from divfrontier.distributions import EQUALITY_TOL
+from tests.conftest import conditioned_gaussian, frozen_renyi_rows, random_gaussian, random_histogram
 
 INF = float("inf")
 
@@ -471,6 +472,130 @@ class TestRenyiRows:
             for alpha in ROW_ALPHAS:
                 assert renyi_discrete(hp, hq, alpha) == renyi_rows(hp.probs, hq.probs, alpha)[0]
             assert kl_discrete(hp, hq) == renyi_discrete(hp, hq, Alpha.one())
+
+
+# ---------------------------------------------------------------------------
+# the in-place renyi_rows against the kernel it replaced, byte for byte
+
+KERNEL_VALUES = st.sampled_from([0.0, 1e-300, 5e-324, 2.5e-310]) | st.floats(1e-3, 1.0)
+
+
+@st.composite
+def kernel_operands(draw):
+    """(x, y) histogram rows for renyi_rows: one row against many, many
+    against one or many against many, each operand C- or F-order and read-only.
+    Entries include zeros, 1e-300 and subnormals; supports may be disjoint,
+    and rows may repeat the other operand's first row."""
+    n = draw(st.integers(1, 12))
+    many = draw(st.integers(2, 6))
+    kx, ky = draw(st.sampled_from([(1, many), (many, 1), (many, many)]))
+
+    def rows(k):
+        a = np.array(draw(st.lists(st.lists(KERNEL_VALUES, min_size=n, max_size=n), min_size=k, max_size=k)))
+        a[a.sum(axis=1) == 0.0, 0] = 1.0
+        return a
+
+    x, y = rows(kx), rows(ky)
+    if draw(st.booleans()):  # disjoint supports where a row keeps some mass
+        off = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        x[:, off], y[:, ~off] = 0.0, 0.0
+        x[x.sum(axis=1) == 0.0, 0] = 1.0
+        y[y.sum(axis=1) == 0.0, -1] = 1.0
+    if draw(st.booleans()):
+        y[0] = x[0]
+    out = []
+    for a in (x / x.sum(axis=1, keepdims=True), y / y.sum(axis=1, keepdims=True)):
+        a = np.array(a, order=draw(st.sampled_from("CF")))
+        a.flags.writeable = False
+        out.append(a)
+    return tuple(out)
+
+
+class TestInPlaceKernel:
+    """renyi_rows against frozen_renyi_rows, the kernel before it worked in
+    place; these pin that kernel's values byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kernel_operands())
+    def test_byte_identical_to_the_former_kernel(self, operands):
+        x, y = operands
+        before = x.tobytes(), y.tobytes()
+        for alpha in ROW_ALPHAS:
+            assert renyi_rows(x, y, alpha).tobytes() == frozen_renyi_rows(x, y, alpha).tobytes(), alpha
+        assert (x.tobytes(), y.tobytes()) == before
+
+    @pytest.mark.parametrize("n", [9, 12, 40])
+    def test_many_against_many_in_every_pair_of_layouts(self, n):
+        # x - y of a C- and an F-order operand is C-order, so the rows are summed pairwise
+        rng = np.random.default_rng(n)
+        X, Y = rng.dirichlet(np.ones(n), size=50), rng.dirichlet(np.ones(n), size=50)
+        Y[:5] = X[:5]
+        for ox, oy in ("CC", "CF", "FC", "FF"):
+            x, y = np.array(X, order=ox), np.array(Y, order=oy)
+            for alpha in ROW_ALPHAS:
+                assert renyi_rows(x, y, alpha).tobytes() == frozen_renyi_rows(x, y, alpha).tobytes(), (ox, oy, alpha)
+
+    def test_histogram_probs_are_read_only_inputs(self):
+        P, Q = _row_fixtures(8)
+        for p, q in zip(P, Q):
+            hp, hq = Histogram(p), Histogram(q)
+            assert not hp.probs.flags.writeable
+            for alpha in ROW_ALPHAS:
+                assert renyi_rows(hp.probs, hq.probs, alpha).tobytes() == frozen_renyi_rows(hp.probs, hq.probs, alpha).tobytes()
+
+    @pytest.mark.parametrize("n", [8, 12, 16, 40])
+    def test_total_variation_at_the_tolerance_in_both_layouts(self, n):
+        X, Y = _tolerance_edge_rows(n)
+        sums = {order: np.array(X - Y, order=order).sum(axis=1) for order in "CF"}
+        # some rows are at or under the tolerance in one summation order and over it in the other
+        assert np.any((sums["C"] <= 2 * EQUALITY_TOL) != (sums["F"] <= 2 * EQUALITY_TOL))
+        for order in "CF":
+            x, y = np.array(X, order=order), np.array(Y, order=order)
+            for alpha in ROW_ALPHAS:
+                if alpha.is_infinity:
+                    continue
+                want = frozen_renyi_rows(x, y, alpha)
+                assert renyi_rows(x, y, alpha).tobytes() == want.tobytes(), (order, alpha)
+                assert renyi_rows(x, y[:1], alpha).tobytes() == frozen_renyi_rows(x, y[:1], alpha).tobytes()
+                assert np.array_equal(want == 0.0, sums[order] <= 2 * EQUALITY_TOL)
+
+
+def _tolerance_edge_rows(n):
+    """(x, y) rows of length n whose total variation, as summed in C order
+    (pairwise from 8 bins) or in F order (in sequence), is one ulp below,
+    exactly at and one ulp above EQUALITY_TOL, from 16 draws.
+
+    |x - y| is exactly the tiny entries of x: y is 0 there, and both put 0.5
+    on the last bin. The second-last entry is moved a float at a time to
+    each target; a draw whose sum steps over a target is skipped."""
+    target_sum = 2 * EQUALITY_TOL
+    targets = (np.nextafter(target_sum, 0.0), target_sum, np.nextafter(target_sum, 1.0))
+    sums = [lambda d, order=order: np.array([d, d], order=order).sum(axis=1)[0] for order in "CF"]
+    X, seed = [], 0
+    while len(X) < 16 * len(sums) * len(targets):
+        tiny = np.zeros(n)
+        tiny[:-1] = np.random.default_rng(seed).uniform(0.5, 1.0, n - 1) * target_sum / (n - 1)
+        seed += 1
+        rows = [_with_row_sum(tiny, row_sum, target) for row_sum in sums for target in targets]
+        if all(d is not None for d in rows):
+            X += [d + np.eye(n)[-1] * 0.5 for d in rows]
+    X = np.array(X)
+    Y = np.zeros_like(X)
+    Y[:, -1] = 0.5
+    return X, Y
+
+
+def _with_row_sum(tiny, row_sum, target):
+    """tiny with its second-last entry set so that row_sum gives target, or
+    None if no float there does (the sum is monotone in that entry)."""
+    d = tiny.copy()
+    d[-2] = 0.0
+    d[-2] = target - row_sum(d)
+    while row_sum(d) >= target:
+        d[-2] = np.nextafter(d[-2], 0.0)
+    while row_sum(d) < target:
+        d[-2] = np.nextafter(d[-2], np.inf)
+    return d if row_sum(d) == target else None
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from divfrontier import discrete_frontier as frontier_module
 from divfrontier import oracle as oracle_module
 from divfrontier.divergences import renyi_rows
 from divfrontier.oracle import GRID_SMOOTHING, MAX_SIMPLEX_ENTRIES
+from tests.conftest import frozen_renyi_rows, rows_per_block
 
 INF = float("inf")
 
@@ -77,6 +78,20 @@ def _row_major_realizable_pairs(p, q, alpha, side, grid):
     if side == EXCLUSIVE:
         return np.column_stack([renyi_rows(R, pv, alpha), renyi_rows(R, qv, alpha)])
     return np.column_stack([renyi_rows(pv, R, alpha), renyi_rows(qv, R, alpha)])
+
+
+def _whole_grid_realizable_pairs(p, q, alpha, side, grid):
+    """realizable_pairs before it worked in row blocks: the whole bins-major
+    grid smoothed at once, through the kernel before it worked in place."""
+    R = grid.points + GRID_SMOOTHING
+    R = R / R.sum(axis=1, keepdims=True)
+    pv = p.probs + GRID_SMOOTHING
+    pv = pv / pv.sum()
+    qv = q.probs + GRID_SMOOTHING
+    qv = qv / qv.sum()
+    if side == EXCLUSIVE:
+        return np.column_stack([frozen_renyi_rows(R, pv, alpha), frozen_renyi_rows(R, qv, alpha)])
+    return np.column_stack([frozen_renyi_rows(pv, R, alpha), frozen_renyi_rows(qv, R, alpha)])
 
 
 def _combinations_simplex(n, m):
@@ -281,9 +296,11 @@ class TestBinsMajorGrid:
                 finite = [(x, y) for _, x, y in curve.points if np.isfinite(x) and np.isfinite(y)]
                 violation = max_dominance_violation(finite, np.array(front))
                 hausdorff = hausdorff_linf(finite, front)
+                steps = [max(abs(x1 - x0), abs(y1 - y0)) for (x0, y0), (x1, y1) in zip(finite, finite[1:])]
                 assert certify_frontier(p, q, alpha, side, curve, m) == {
                     "max_dominance_violation": violation,
                     "hausdorff_distance": hausdorff,
+                    "curve_max_step": max(steps, default=0.0),
                     "pass": bool(violation <= 2.0 / m and hausdorff <= 5.0 / m),
                 }
 
@@ -297,6 +314,46 @@ class TestBinsMajorGrid:
                 got = realizable_pairs(p, q, alpha, side, grid)
                 want = _row_major_realizable_pairs(p, q, alpha, side, grid)
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+BLOCK_ALPHAS = [Alpha.parse(a) for a in ("1e-3", "0.5", "1", "2", "1e4", "inf")]
+
+
+class TestGridBlocks:
+    """realizable_pairs in row blocks against the whole-grid code it replaced;
+    the equality tests pin that code's values byte for byte."""
+
+    @pytest.mark.parametrize("n,m", [(2, 300), (3, 40), (5, 10), (7, 6), (8, 6), (12, 4), (40, 2), (1414, 1)])
+    @pytest.mark.parametrize("rows", [None, 1, 7], ids=["default", "1-row", "7-row"])
+    def test_bit_identical_to_the_whole_grid(self, n, m, rows):
+        p, q = _grid_histograms(n, n)
+        probs = q.probs.copy()
+        probs[-1] = 0.0  # a zero in q as well as in p
+        q = Histogram(probs / probs.sum())
+        grid = enumerate_simplex(n, m)
+        for alpha in BLOCK_ALPHAS:
+            for side in (EXCLUSIVE, INCLUSIVE):
+                want = _whole_grid_realizable_pairs(p, q, alpha, side, grid)
+                with rows_per_block(rows, n):
+                    got = realizable_pairs(p, q, alpha, side, grid)
+                assert got.tobytes() == want.tobytes(), (alpha, side)
+
+    def test_memory_of_one_call_on_the_benchmark_grid(self):
+        # the whole-grid code peaked at 22-29 MiB here (21.8 at alpha = inf,
+        # 28.6 at finite alpha); the blocks hold the 2.1 MiB result and one
+        # block's arrays
+        rng = np.random.default_rng(5)
+        p, q = Histogram(rng.uniform(0.15, 1.0, 5)), Histogram(rng.uniform(0.15, 1.0, 5))
+        grid = enumerate_simplex(5, 40)
+        for alpha in BLOCK_ALPHAS:
+            for side in (EXCLUSIVE, INCLUSIVE):
+                tracemalloc.start()
+                try:
+                    realizable_pairs(p, q, alpha, side, grid)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert peak <= 6 * 2**20, (alpha, side, peak)
 
 
 class TestDominanceAndHausdorff:
@@ -418,6 +475,25 @@ class TestCertifyFrontier:
         # points pushed away from the origin sit strictly inside the
         # realizable region, so the dominance check fires too
         assert verdict["max_dominance_violation"] > 2.0 / 40
+
+    def test_curve_max_step_bounds_a_sampling_failure(self):
+        # a correct curve fails at a large m: the Hausdorff distance is within
+        # the curve's own largest step, so the failure comes from sampling
+        p, q, alpha = Histogram([0.3, 0.7]), Histogram([0.6, 0.4]), Alpha.finite(2)
+        curve = frontier(p, q, alpha, INCLUSIVE, 201)
+        verdict = certify_frontier(p, q, alpha, INCLUSIVE, curve, m=100_000)
+        assert not verdict["pass"]
+        assert verdict["max_dominance_violation"] <= 2.0 / 100_000
+        assert 5.0 / 100_000 < verdict["hausdorff_distance"] <= verdict["curve_max_step"]
+        finite = np.array([(x, y) for _, x, y in curve.points if np.isfinite(x) and np.isfinite(y)])
+        assert verdict["curve_max_step"] == np.abs(np.diff(finite, axis=0)).max()
+
+    def test_curve_max_step_of_a_single_point_is_zero(self):
+        p, q, alpha = Histogram([0.5, 0.5]), Histogram([0.5, 0.5]), Alpha.finite(2)
+        curve = frontier(p, q, alpha, EXCLUSIVE, 21)
+        assert len(curve.points) == 1
+        verdict = certify_frontier(p, q, alpha, EXCLUSIVE, curve, m=10)
+        assert verdict["curve_max_step"] == 0.0 and verdict["pass"]
 
     def test_filters_the_grid_once_through_the_brute_force_frontier(self, monkeypatch):
         p, q, alpha = Histogram([0.5, 0.3, 0.2]), Histogram([0.2, 0.3, 0.5]), Alpha.finite(2)
