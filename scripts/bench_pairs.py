@@ -9,7 +9,10 @@ the change's ``BENCHMARK.json``, it prints each side's median and quartiles,
 the number of pairs the change won (ties count for neither side), whether a
 gain may be claimed (at least 9 of 10 pairs won, and a median gain above the
 parent's quartile spread), and whether the change's median is worse than the
-parent's by more than the metric's ``bound``.
+parent's by more than the metric's ``bound``. That last is "unresolved" when
+either side's quartile spread is wider than the bound, relative to the
+parent's median, unless every change run beats every parent run: such runs
+are too noisy to tell a kept bound from an exceeded one.
 
 The two checkout paths must have the same length: readings have been seen
 to move with the length of the checkout's path alone.
@@ -82,16 +85,30 @@ def verdict(name: str, parent: list[float], change: list[float], wins: int, sign
     """Two lines: whether a gain may be claimed (the change wins at least
     9 of 10 pairs, and its median is better than the parent's by more than
     the parent's quartile spread), and whether its median is worse than the
-    parent's by more than ``bound``, a fraction of the parent's median."""
+    parent's by more than ``bound``, a fraction of the parent's median. The
+    second is unresolved when either side's quartile spread exceeds ``bound``
+    of the parent's median, unless every change run beats every parent run."""
     p_q1, p_med, p_q3 = quartiles(parent)
-    gain = sign * (quartiles(change)[1] - p_med)
+    c_q1, c_med, c_q3 = quartiles(change)
+    gain = sign * (c_med - p_med)
     claim = 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1
     worse = -gain / p_med
+    spreads = (p_q3 - p_q1) / abs(p_med), (c_q3 - c_q1) / abs(p_med)
+    beats_all = all(sign * (c - p) > 0 for c in change for p in parent)
+    unresolved = max(spreads) > bound and not beats_all
+    bound_line = (
+        f"{name} bound {'unresolved' if unresolved else 'exceeded' if worse > bound else 'kept'}: "
+        f"median {100 * worse:+.3g}% worse than the parent (bound {100 * bound:.3g}%)"
+    )
+    if unresolved:
+        bound_line += (
+            f", but the quartile spreads are {100 * spreads[0]:.3g}% (parent) and {100 * spreads[1]:.3g}% (change) "
+            "of the parent's median"
+        )
     return [
         f"{name} claim {'holds' if claim else 'fails'}: wins {wins}/{len(parent)} (needs 9/10), "
         f"median gain {gain:.6g} against parent quartile spread {p_q3 - p_q1:.6g}",
-        f"{name} bound {'exceeded' if worse > bound else 'kept'}: median {100 * worse:+.3g}% worse "
-        f"than the parent (bound {100 * bound:.3g}%)",
+        bound_line,
     ]
 
 

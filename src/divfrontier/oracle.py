@@ -45,7 +45,20 @@ class SimplexGrid:
 
 def enumerate_simplex(n: int, m: int) -> SimplexGrid:
     """Exhaustive, lexicographically ordered grid; binomial(m+n-1, n-1) points,
-    held bins-major (see SimplexGrid)."""
+    held bins-major (see SimplexGrid).
+
+    The grid is built level by level, as a tree whose depth-d nodes are the
+    length-d prefixes in lexicographic order. A node whose prefix sums to s
+    has free = m + 1 - s children, whose own free counts are free, ..., 1, so
+    each level follows from the one above by one repeat. A row's entry j is
+    its free count at depth j minus that at depth j + 1. Going back up, each
+    level's free counts are repeated over the grid rows under each node (its
+    leaves, summed one level up by reduceat over the child starts), so every
+    column is written once and building costs O(count x n).
+    """
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, m)):
+        raise ParameterError(f"n and m must be integers, got n={n!r}, m={m!r}")
+    n, m = int(n), int(m)
     if n < 2 or m < 1:
         raise ParameterError("need n >= 2 and m >= 1")
     # the count C(m+n-1, k), k = min(n-1, m), is at least 2**k, so a k past
@@ -53,23 +66,19 @@ def enumerate_simplex(n: int, m: int) -> SimplexGrid:
     k = min(n - 1, m)
     if k >= MAX_SIMPLEX_ENTRIES.bit_length() or math.comb(m + n - 1, k) * n > MAX_SIMPLEX_ENTRIES:
         raise ParameterError(f"simplex grid n={n}, m={m} exceeds {MAX_SIMPLEX_ENTRIES} entries; lower m")
-    # grow prefixes one entry at a time, keeping only each prefix's parent,
-    # last entry and sum, so building costs O(count x n), not O(count x n^2)
-    sums, steps = np.zeros(1, dtype=np.int64), []
+    free, levels = np.array([m + 1]), []  # the root: the empty prefix
     for _ in range(n - 1):
-        # every prefix gets one child per value 0..(m - prefix sum) of its next entry
-        free = m - sums + 1
-        parent = np.repeat(np.arange(len(sums)), free)
-        nxt = np.arange(len(parent)) - np.repeat(np.cumsum(free) - free, free)
-        sums = sums[parent] + nxt
-        steps.append((parent, nxt))
-    points = np.empty((len(sums), n), order="F")  # filled, and later read, a column at a time
-    points[:, -1] = m - sums
-    row = np.arange(len(sums))
-    for j in range(n - 2, -1, -1):  # walk each full row back through its prefixes
-        parent, nxt = steps[j]
-        points[:, j] = nxt[row]
-        row = parent[row]
+        ends = np.add.accumulate(free)
+        levels.append((ends - free, free))  # each node's child start and free count
+        free = ends.repeat(free) - np.arange(ends[-1])
+    points = np.empty((len(free), n), order="F")  # filled, and later read, a column at a time
+    np.subtract(free, 1, out=points[:, -1])  # the last entry takes what is left
+    below, leaves = free, levels[-1][1]  # free counts at depth n-1 per row, rows under each depth n-2 node
+    for j in range(n - 2, 0, -1):
+        above = levels[j][1].repeat(leaves)
+        np.subtract(above, below, out=points[:, j])
+        below, leaves = above, np.add.reduceat(leaves, levels[j - 1][0])
+    np.subtract(m + 1, below, out=points[:, 0])
     points /= m
     return SimplexGrid(n=n, m=m, points=points)
 
@@ -129,10 +138,13 @@ def max_dominance_violation(
 
 
 def hausdorff_linf(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
-    """Symmetric Hausdorff distance under the max-coordinate point metric."""
-    B = np.asarray(b)
+    """Symmetric Hausdorff distance under the max-coordinate point metric:
+    inf when exactly one of the sets is empty, 0 when both are."""
+    A, B = np.asarray(a), np.asarray(b)
+    if not A.size or not B.size:
+        return 0.0 if A.size == B.size else math.inf
     row_max, col_min = [], np.inf
-    for block in _row_blocks(np.asarray(a), len(B)):
+    for block in _row_blocks(A, len(B)):
         d = np.maximum(np.abs(block[:, None, 0] - B[None, :, 0]), np.abs(block[:, None, 1] - B[None, :, 1]))
         row_max.append(d.min(axis=1).max())
         col_min = np.minimum(col_min, d.min(axis=0))
@@ -154,7 +166,12 @@ def certify_frontier(
     reports curve_max_step, the largest L-infinity gap between consecutive
     finite curve points: a Hausdorff distance below it can come from how
     coarsely the curve is sampled rather than from a wrong closed form.
+    The curve must have been traced for the same side and order.
     """
+    if curve.side != side:
+        raise ParameterError(f"curve was traced for the {curve.side} side, not the {side} side")
+    if curve.alpha != alpha:
+        raise ParameterError(f"curve was traced for alpha={curve.alpha}, not alpha={alpha}")
     grid = enumerate_simplex(len(p), m)
     oracle_front = brute_force_frontier(p, q, alpha, side, grid)
     curve_pairs = np.asarray(curve.points, dtype=float).reshape(-1, 3)[:, 1:]
@@ -162,7 +179,7 @@ def certify_frontier(
     # every grid pair the filter drops is strictly beaten in both
     # coordinates by a kept one, so the front gives the same worst margin
     violation = max_dominance_violation(finite, np.array(oracle_front))
-    hausdorff = hausdorff_linf(finite, oracle_front) if len(finite) else float("inf")
+    hausdorff = hausdorff_linf(finite, oracle_front)
     return {
         "max_dominance_violation": violation,
         "hausdorff_distance": hausdorff,

@@ -59,7 +59,10 @@ def test_summary_of_canned_pairs():
         "ops_per_s change wins 3/4 pairs (higher is better)",
         # 3 of 4 is below 9 of 10, however large the gain
         "ops_per_s claim fails: wins 3/4 (needs 9/10), median gain 25.5 against parent quartile spread 0.75",
-        "ops_per_s bound kept: median -142% worse than the parent (bound 25%)",
+        # the change's quartiles span 75% of the parent's median, and its
+        # tied run does not beat every parent run
+        "ops_per_s bound unresolved: median -142% worse than the parent (bound 25%), "
+        "but the quartile spreads are 4.17% (parent) and 75% (change) of the parent's median",
         "op_p50_s parent: median 0.03 s, quartiles 0.02975-0.03025",
         "op_p50_s change: median 0.0115 s, quartiles 0.01075-0.01675",
         "op_p50_s change wins 3/4 pairs (lower is better)",
@@ -86,6 +89,37 @@ def test_verdict_of_ten_canned_pairs():
     pairs = [{"parent": bench_pairs.parse_result(canned(*p)), "change": bench_pairs.parse_result(canned(p[0] + 0.1, 0.3))}
              for p in wide]
     assert bench_pairs.summarize(pairs, METRICS[:1])[5].startswith("ops_per_s claim fails: wins 10/10")
+
+
+def _pairs(parent, change):
+    return [{"parent": bench_pairs.parse_result(canned(*p)), "change": bench_pairs.parse_result(canned(*c))}
+            for p, c in zip(parent, change)]
+
+
+def test_bound_is_unresolved_when_either_side_spreads_wider_than_it():
+    # the parent's quartiles 8-12 span 40% of its median 10, wider than the 25% bound
+    parent = [(v, 0.30) for v in (6.0, 8.0, 10.0, 12.0, 14.0)]
+    lines = bench_pairs.summarize(_pairs(parent, [(9.5, 0.30)] * 5), METRICS)
+    assert "ops_per_s bound unresolved: median +5% worse than the parent (bound 25%), " \
+        "but the quartile spreads are 40% (parent) and 0% (change) of the parent's median" in lines
+    assert "op_p50_s bound kept: median +0% worse than the parent (bound 25%)" in lines
+    # the change's own runs spread as widely: unresolved too
+    lines = bench_pairs.summarize(_pairs([(8.0, 0.30)] * 5, parent), METRICS[:1])
+    assert lines[-1] == "ops_per_s bound unresolved: median -25% worse than the parent (bound 25%), " \
+        "but the quartile spreads are 0% (parent) and 50% (change) of the parent's median"
+
+
+def test_bound_is_resolved_when_every_change_run_beats_every_parent_run():
+    # both sides spread over 40% of the parent's median, but every change
+    # run is faster than every parent run (this pins the lines of the rule
+    # before unresolved, which these runs keep)
+    parent = [(v, 0.30) for v in (6.0, 8.0, 10.0, 12.0, 14.0)]
+    change = [(v, 0.30) for v in (15.0, 17.0, 19.0, 21.0, 23.0)]
+    lines = bench_pairs.summarize(_pairs(parent, change), METRICS[:1])
+    assert lines[-1] == "ops_per_s bound kept: median -90% worse than the parent (bound 25%)"
+    # and a change that loses every run is exceeded, not unresolved
+    lines = bench_pairs.summarize(_pairs(change, parent), METRICS[:1])
+    assert lines[-1] == "ops_per_s bound exceeded: median +47.4% worse than the parent (bound 25%)"
 
 
 def test_one_pair_has_its_value_as_quartiles():

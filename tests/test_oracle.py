@@ -5,7 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divfrontier import (
@@ -106,6 +106,34 @@ def _combinations_simplex(n, m):
     return points / m
 
 
+def _walk_back_simplex(n, m):
+    """enumerate_simplex's points before it was built level by level: each
+    prefix keeps its parent, and every full row is walked back through its
+    prefixes, one gather per level."""
+    sums, steps = np.zeros(1, dtype=np.int64), []
+    for _ in range(n - 1):
+        free = m - sums + 1
+        parent = np.repeat(np.arange(len(sums)), free)
+        nxt = np.arange(len(parent)) - np.repeat(np.cumsum(free) - free, free)
+        sums = sums[parent] + nxt
+        steps.append((parent, nxt))
+    points = np.empty((len(sums), n), order="F")
+    points[:, -1] = m - sums
+    row = np.arange(len(sums))
+    for j in range(n - 2, -1, -1):
+        parent, nxt = steps[j]
+        points[:, j] = nxt[row]
+        row = parent[row]
+    points /= m
+    return points
+
+
+def _same_grid(n, m):
+    got, want = enumerate_simplex(n, m).points, _walk_back_simplex(n, m)
+    assert got.dtype == np.float64 and got.flags.f_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _signs(points):
     # tells -0.0 from 0.0, which == does not
     return [tuple(math.copysign(1.0, c) for c in pt) for pt in points]
@@ -134,6 +162,16 @@ class TestEnumerateSimplex:
             enumerate_simplex(1, 5)
         with pytest.raises(ParameterError):
             enumerate_simplex(3, 0)
+
+    @pytest.mark.parametrize("n,m", [(3, 2.0), (3.0, 2), (3, True), (True, 3), (3, np.True_), (3, "4"), (3, None)])
+    def test_arguments_must_be_integers(self, n, m):
+        with pytest.raises(ParameterError, match="integers"):
+            enumerate_simplex(n, m)
+
+    def test_numpy_integers_are_accepted(self):  # pins the behaviour before the integer check
+        grid = enumerate_simplex(np.int64(3), np.uint8(4))
+        assert (grid.n, grid.m, grid.count) == (3, 4, 15)
+        assert grid.points.tobytes() == enumerate_simplex(3, 4).points.tobytes()
 
     # (1413, 2) and (20000, 1) have under a million points but billions of entries
     @pytest.mark.parametrize(
@@ -172,6 +210,40 @@ class TestEnumerateSimplex:
         assert (grid.n, grid.m) == (n, m)
         assert np.array_equal(grid.points, _combinations_simplex(n, m))
         assert grid.points.flags.f_contiguous
+
+
+class TestLevelByLevelGrid:
+    """enumerate_simplex against the walk-back construction it replaces,
+    byte for byte. The equality tests pin the grid as it was built before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 60), m=st.integers(1, 60))
+    @example(n=2, m=1)
+    @example(n=2, m=60)
+    @example(n=60, m=1)
+    def test_equals_the_walk_back_under_a_small_cap(self, n, m):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle_module, "MAX_SIMPLEX_ENTRIES", 20_000)
+            if math.comb(m + n - 1, n - 1) * n > 20_000:
+                with pytest.raises(ParameterError, match="exceeds"):
+                    enumerate_simplex(n, m)
+            else:
+                _same_grid(n, m)
+
+    @pytest.mark.parametrize("n,m", [(2, 999_999), (1414, 1), (8, 12), (12, 6), (5, 40)])
+    def test_equals_the_walk_back_on_edge_shapes(self, n, m):
+        _same_grid(n, m)
+
+    def test_memory_of_the_longest_two_bin_grid(self):
+        # tracemalloc peak: 53.4 MiB for the walk-back construction, 23.0 MiB
+        # level by level (the 15.3 MiB grid and one int64 column)
+        tracemalloc.start()
+        try:
+            grid = enumerate_simplex(2, 999_999)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * grid.points.nbytes, peak
 
 
 coordinates = st.one_of(
@@ -376,6 +448,18 @@ class TestDominanceAndHausdorff:
         assert hausdorff_linf(a, a) == 0.0
 
 
+class TestHausdorffOfEmptySets:
+    @pytest.mark.parametrize("empty", [[], np.empty((0, 2))])
+    def test_one_empty_set_is_infinitely_far(self, empty):
+        pts = [(0.1, 0.2), (0.3, 0.0)]
+        assert hausdorff_linf(empty, pts) == INF
+        assert hausdorff_linf(pts, empty) == INF
+
+    def test_two_empty_sets_are_at_distance_zero(self):
+        assert hausdorff_linf([], []) == 0.0
+        assert hausdorff_linf(np.empty((0, 2)), []) == 0.0
+
+
 def former_max_dominance_violation(curve_points, grid_pairs):
     """max_dominance_violation before the broadcast: one pass per curve point."""
     worst = 0.0
@@ -494,6 +578,33 @@ class TestCertifyFrontier:
         assert len(curve.points) == 1
         verdict = certify_frontier(p, q, alpha, EXCLUSIVE, curve, m=10)
         assert verdict["curve_max_step"] == 0.0 and verdict["pass"]
+
+    @pytest.mark.parametrize(
+        "side,alpha,m,match",
+        [
+            (INCLUSIVE, Alpha.finite(2), 10, "exclusive side, not the inclusive side"),
+            (INCLUSIVE, Alpha.finite(2), 40, "exclusive side, not the inclusive side"),
+            (EXCLUSIVE, Alpha.finite(0.5), 10, "alpha=2.0, not alpha=0.5"),
+        ],
+    )
+    def test_refuses_a_curve_traced_for_another_side_or_order(self, side, alpha, m, match):
+        # each of these read "pass": true before the curve's tags were checked
+        p, q = Histogram([0.3, 0.7]), Histogram([0.6, 0.4])
+        curve = frontier(p, q, Alpha.finite(2), EXCLUSIVE, 201)
+        with pytest.raises(ParameterError, match=match):
+            certify_frontier(p, q, alpha, side, curve, m=m)
+
+    def test_m_must_be_an_integer(self):
+        p, q, alpha = Histogram([0.3, 0.7]), Histogram([0.6, 0.4]), Alpha.finite(2)
+        curve = frontier(p, q, alpha, EXCLUSIVE, 21)
+        with pytest.raises(ParameterError, match="integers"):
+            certify_frontier(p, q, alpha, EXCLUSIVE, curve, m=10.5)
+
+    def test_a_curve_without_finite_points_is_infinitely_far(self):  # pins the verdict before the empty-set rule
+        p, q, alpha = Histogram([0.3, 0.7]), Histogram([0.6, 0.4]), Alpha.finite(2)
+        curve = dataclasses.replace(frontier(p, q, alpha, EXCLUSIVE, 21), points=((0.0, INF, 0.0), (1.0, 0.0, INF)))
+        verdict = certify_frontier(p, q, alpha, EXCLUSIVE, curve, m=10)
+        assert verdict["hausdorff_distance"] == INF and not verdict["pass"]
 
     def test_filters_the_grid_once_through_the_brute_force_frontier(self, monkeypatch):
         p, q, alpha = Histogram([0.5, 0.3, 0.2]), Histogram([0.2, 0.3, 0.5]), Alpha.finite(2)
