@@ -92,7 +92,7 @@ def verdict(name: str, parent: list[float], change: list[float], wins: int, sign
     c_q1, c_med, c_q3 = quartiles(change)
     gain = sign * (c_med - p_med)
     claim = 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1
-    worse = -gain / p_med
+    worse = -gain / p_med + 0.0  # + 0.0 turns a zero change's -0.0 into +0
     spreads = (p_q3 - p_q1) / abs(p_med), (c_q3 - c_q1) / abs(p_med)
     beats_all = all(sign * (c - p) > 0 for c in change for p in parent)
     unresolved = max(spreads) > bound and not beats_all

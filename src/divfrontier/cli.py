@@ -105,6 +105,8 @@ def _cmd_frontier(args) -> None:
     alphas = [Alpha.parse(a) for a in args.alpha]
     if not alphas:
         raise ParameterError("at least one --alpha is required")
+    if len({str(a) for a in alphas}) < len(alphas):
+        raise ParameterError(f"--alpha repeats an order: {[str(a) for a in alphas]}")
     p, q = _load_inputs(args, fit=True)
     discrete = isinstance(p, Histogram) and isinstance(q, Histogram)
     if discrete:

@@ -5,16 +5,16 @@ sample set and read off the KL frontier/endpoints, or pool the samples,
 quantize with k-means, and compare the cluster-assignment histograms. The
 k-nearest-neighbour support metrics cover the alpha -> 0 limiting case.
 
-Distances come from the product form |x|^2 - 2 x.c + |c|^2 in blocks of at
-most BLOCK_ENTRIES entries, center-major for k-means; decisions within its
-rounding fall to the explicit difference form, so labels and coverage are
-exact. Lloyd measures again only the samples whose Hamerly bounds (upper
-on the own center, lower on the others) come within a margin above that
-rounding; its stop rule reads the inertia from the cluster sums when a
-proven error bound cannot flip the decision, and from full passes when it
-can (see _lloyd). Up to KD_TREE_MAX_DIM, each sample set's k-d tree gives
-its kNN radii and the other set's candidate pairs, which are measured
-explicitly.
+Distances come in blocks of at most BLOCK_ENTRIES entries from the product
+|x|^2 - 2 x.c + |c|^2, center-major for k-means, and less the row's |x|^2
+(the lifted product) for kNN; decisions within its rounding fall to the
+explicit difference form, so labels, radii and coverage are exact. Lloyd
+measures again only the samples whose Hamerly bounds (upper on the own
+center, lower on the others) come within a margin above that rounding; its
+stop rule reads the inertia from the cluster sums when a proven error bound
+cannot flip the decision, and from full passes when it can (see _lloyd). Up
+to KD_TREE_MAX_DIM, each sample set's k-d tree gives its kNN radii and the
+other set's candidate pairs, which are measured explicitly.
 """
 from __future__ import annotations
 
@@ -53,25 +53,12 @@ def as_sample_matrix(samples) -> np.ndarray:
     return arr
 
 
-def _sqdist(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of x and of c.
-
-    One matrix product, |x|^2 - 2 x.c + |c|^2, clamped at 0. Its rounding
-    error is about d * 2^-53 * (|x|^2 + |c|^2).
-    """
-    d2 = x @ c.T
-    # in place, and in the order (|x|^2 - 2 x.c) + |c|^2
-    d2 *= -2.0
-    d2 += (x * x).sum(axis=1)[:, None]
-    d2 += (c * c).sum(axis=1)[None, :]
-    return np.maximum(d2, 0.0, out=d2)
-
-
 def _tie_band(x_sq_max, c_sq_max) -> float:
-    """Gap below which _sqdist's rounding could flip a comparison, from the
-    largest squared norms of the rows of x and of c. It is far above that
-    rounding error, so every decision outside the band is exact; decisions
-    inside it are left to the explicit difference form."""
+    """Gap below which a product form's rounding, about
+    d * 2^-53 * (|x|^2 + |c|^2), could flip a comparison, from the largest
+    squared norms of the rows of x and of c. It is far above that rounding,
+    so every decision outside the band is exact; decisions inside it are
+    left to the explicit difference form."""
     return 1e-9 * float(x_sq_max + c_sq_max)
 
 
@@ -118,8 +105,8 @@ class _NearestCenter:
             stop = min(start + self.width, n)
             at = slice(start, stop) if rows is None else rows[start:stop]
             a = self.block[:k * (stop - start)].reshape(k, -1)
-            # the samples as a transposed view, like c.T in _sqdist; with a
-            # contiguous copy BLAS rounds many more entries unlike _sqdist
+            # the samples as a transposed view; with a contiguous copy BLAS
+            # rounds many more entries unlike the row-major product form
             # (gathered rows round otherwise too, but give only bounds)
             np.matmul(centers, self.samples[at].T, out=a)
             a *= -2.0
@@ -386,32 +373,29 @@ def _knn_radii(anchors: np.ndarray, k: int, tree) -> np.ndarray:
 
     Each anchor is its own nearest neighbour, so this is the (k+1)-th
     smallest distance, read from the anchors' k-d tree if there is one.
-    Without one, the k+1 smallest entries of each blocked _sqdist row are
-    measured again by the explicit difference form; a row with more than
-    k+1 entries within the tie band of its (k+1)-th measures every entry in
-    the band instead.
+    Without one, the k+1 smallest entries of each lifted-product row (its
+    squared distances less |x|^2) are measured again by the explicit
+    difference form; a row with more than k+1 entries within the tie band of
+    its (k+1)-th measures every entry in the band instead.
     """
     if tree is not None:
         return tree.query(anchors, k=k + 1)[0][:, -1]
-    n = anchors.shape[0]
-    sq_max = (anchors * anchors).sum(axis=1).max()
-    band = _tie_band(sq_max, sq_max)
-    rows = max(1, BLOCK_ENTRIES // n)
-    radii = np.empty(n)
-    settled = np.zeros(n, dtype=bool)  # exact copies of a crowded row found at radius 0
-    for start in range(0, n, rows):
-        block = anchors[start:start + rows]
-        d2 = _sqdist(block, anchors)
-        nearest = np.argpartition(d2, k, axis=1)[:, :k + 1]
+    sq = (anchors * anchors).sum(axis=1)
+    band = _tie_band(sq.max(), sq.max())
+    radii = np.empty(anchors.shape[0])
+    settled = np.zeros(anchors.shape[0], dtype=bool)  # exact copies of a crowded row found at radius 0
+    for start, stop, lifted in _lifted_products(anchors, anchors, sq):
+        block = anchors[start:stop]
+        nearest = np.argpartition(lifted, k, axis=1)[:, :k + 1]
         diff = anchors[nearest] - block[:, None, :]
-        radii[start:start + rows] = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
-        kth = d2[np.arange(block.shape[0]), nearest[:, k]]
-        crowded = np.count_nonzero(d2 <= (kth + band)[:, None], axis=1) > k + 1
+        radii[start:stop] = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
+        kth = lifted[np.arange(stop - start), nearest[:, k]]
+        crowded = np.count_nonzero(lifted <= (kth + band)[:, None], axis=1) > k + 1
         for i in np.flatnonzero(crowded):
             if settled[start + i]:  # its distances are its copy's, so its radius is 0 too
                 radii[start + i] = 0.0
                 continue
-            near = anchors[d2[i] <= kth[i] + band]
+            near = anchors[lifted[i] <= kth[i] + band]
             dist = np.sqrt(((near - block[i]) ** 2).sum(axis=1))
             radii[start + i] = np.partition(dist, k)[k]
             if radii[start + i] == 0.0:
@@ -426,8 +410,8 @@ def _fraction_covered(anchors: np.ndarray, radii: np.ndarray, queries: np.ndarra
     With a k-d tree over the queries, each block of anchors asks it for the
     queries within its radii widened by 1e-6 relative, far more than the
     tree's rounding, so no pair the explicit form passes is missed; every
-    candidate pair is then measured by the explicit form. Without one, a
-    blocked product gives the sign of min_a |x - a|^2 - r_a^2, which is
+    candidate pair is then measured by the explicit form. Without one, the
+    lifted products give the sign of min_a |x - a|^2 - r_a^2, which is
     exact outside the tie band; queries inside it are measured explicitly.
     """
     # an anchor repeated more than k times has radius 0, and its copies
@@ -449,24 +433,34 @@ def _fraction_covered(anchors: np.ndarray, radii: np.ndarray, queries: np.ndarra
             diff = anchors[owner] - queries[near]
             covered[near[np.sqrt((diff * diff).sum(axis=1)) <= radii[owner]]] = True
         return int(np.count_nonzero(covered)) / queries.shape[0]
-    # min_a |x - a|^2 - r_a^2 = |x|^2 + min_a(-2 x.a + |a|^2 - r_a^2): one product
-    # of the queries, padded with ones, against the anchors lifted by that offset
+    # min_a |x - a|^2 - r_a^2 is |x|^2 plus a row minimum of the lifted product
     anchor_sq = (anchors * anchors).sum(axis=1)
-    lifted = np.hstack([-2.0 * anchors, (anchor_sq - radii**2)[:, None]]).T
-    padded = np.hstack([queries, np.ones((queries.shape[0], 1))])
     sq_norms = (queries * queries).sum(axis=1)
     band = _tie_band(sq_norms.max(), anchor_sq.max())
-    rows = max(1, BLOCK_ENTRIES // anchors.shape[0])
     covered = 0
-    for start in range(0, queries.shape[0], rows):
-        stop = start + rows
-        margin = (padded[start:stop] @ lifted).min(axis=1) + sq_norms[start:stop]
-        # near-ties are settled by the explicit difference form
+    for start, stop, lifted in _lifted_products(queries, anchors, anchor_sq - radii**2):
+        margin = lifted.min(axis=1) + sq_norms[start:stop]
         unsure = np.abs(margin) <= band
         covered += int(np.count_nonzero(margin[~unsure] <= 0))
         for x in queries[start:stop][unsure]:
             covered += int(np.any(np.sqrt(((anchors - x) ** 2).sum(axis=1)) <= radii))
     return covered / queries.shape[0]
+
+
+def _lifted_products(queries: np.ndarray, anchors: np.ndarray, lift: np.ndarray):
+    """Blocks (start, stop, block) of whole rows of the lifted product
+    lift_a - 2 x.a of the queries x and anchors a, of at most BLOCK_ENTRIES
+    entries or one row: the block's queries, padded with a 1, times the anchors
+    lifted to the columns [-2 a; lift_a]. With lift_a = |a|^2 - c_a, a row is
+    |x - a|^2 - c_a less |x|^2, so it orders and spaces the anchors alike."""
+    n, d = queries.shape
+    lifted = np.hstack([-2.0 * anchors, lift[:, None]]).T
+    rows = max(1, BLOCK_ENTRIES // anchors.shape[0])
+    padded = np.ones((min(rows, n), d + 1))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        padded[:stop - start, :d] = queries[start:stop]
+        yield start, stop, padded[:stop - start] @ lifted
 
 
 @dataclass(frozen=True)

@@ -99,8 +99,9 @@ def _pairs(parent, change):
 def test_bound_is_unresolved_when_either_side_spreads_wider_than_it():
     # the parent's quartiles 8-12 span 40% of its median 10, wider than the 25% bound
     parent = [(v, 0.30) for v in (6.0, 8.0, 10.0, 12.0, 14.0)]
-    lines = bench_pairs.summarize(_pairs(parent, [(9.5, 0.30)] * 5), METRICS)
-    assert "ops_per_s bound unresolved: median +5% worse than the parent (bound 25%), " \
+    # the change's median equals the parent's: no change reads +0%, never -0%
+    lines = bench_pairs.summarize(_pairs(parent, [(10.0, 0.30)] * 5), METRICS)
+    assert "ops_per_s bound unresolved: median +0% worse than the parent (bound 25%), " \
         "but the quartile spreads are 40% (parent) and 0% (change) of the parent's median" in lines
     assert "op_p50_s bound kept: median +0% worse than the parent (bound 25%)" in lines
     # the change's own runs spread as widely: unresolved too

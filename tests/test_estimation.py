@@ -631,6 +631,82 @@ def test_block_radii_settle_near_ties_by_difference_form(monkeypatch):
         np.testing.assert_allclose(estimation._knn_radii(anchors, k, None), want, rtol=1e-12, atol=0)
 
 
+# _knn_radii's block path before it ranked the rows by the lifted product,
+# frozen with its _sqdist (_frozen_sqdist above): the radii must equal
+# these byte for byte, since every radius is measured again by the explicit
+# difference form.
+
+def frozen_knn_radii(anchors, k):
+    n = anchors.shape[0]
+    sq_max = (anchors * anchors).sum(axis=1).max()
+    band = 1e-9 * float(sq_max + sq_max)
+    rows = max(1, estimation.BLOCK_ENTRIES // n)
+    radii = np.empty(n)
+    settled = np.zeros(n, dtype=bool)
+    for start in range(0, n, rows):
+        block = anchors[start:start + rows]
+        d2 = _frozen_sqdist(block, anchors)
+        nearest = np.argpartition(d2, k, axis=1)[:, :k + 1]
+        diff = anchors[nearest] - block[:, None, :]
+        radii[start:start + rows] = np.sqrt((diff * diff).sum(axis=2).max(axis=1))
+        kth = d2[np.arange(block.shape[0]), nearest[:, k]]
+        crowded = np.count_nonzero(d2 <= (kth + band)[:, None], axis=1) > k + 1
+        for i in np.flatnonzero(crowded):
+            if settled[start + i]:
+                radii[start + i] = 0.0
+                continue
+            near = anchors[d2[i] <= kth[i] + band]
+            dist = np.sqrt(((near - block[i]) ** 2).sum(axis=1))
+            radii[start + i] = np.partition(dist, k)[k]
+            if radii[start + i] == 0.0:
+                settled |= (anchors == block[i]).all(axis=1)
+    return radii
+
+
+def assert_block_radii_match_frozen(x, ks, block_entries):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "BLOCK_ENTRIES", block_entries)
+        for k in ks:
+            if k < x.shape[0]:
+                got = estimation._knn_radii(x, k, None)
+                assert got.tobytes() == frozen_knn_radii(x, k).tobytes(), k
+
+
+@pytest.mark.parametrize("block_entries", [estimation.BLOCK_ENTRIES, 997])
+@pytest.mark.parametrize("name", sorted(n for n, make in EQUIVALENCE_FIXTURES.items() if make()[0].shape[1] >= 13))
+def test_block_radii_match_frozen_sqdist_radii(name, block_entries):
+    for x in EQUIVALENCE_FIXTURES[name]():
+        assert_block_radii_match_frozen(x, (1, 3, 4, 8), block_entries)
+
+
+@st.composite
+def radius_inputs(draw):
+    """Rows in d >= 13 on a lattice of step 1/4 (exact ties) or Gaussian,
+    drawn with repeats (duplicated rows), plus up to 60 exact copies of the
+    first row, optionally all moved by 1e-6 noise (near-ties far inside the
+    tie band once shifted), then scaled by 1e3 and shifted by 7e3, or
+    shifted by 1e4."""
+    d = draw(st.sampled_from((13, 16, 32, 64)))
+    distinct = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        rows = rng.integers(-8, 9, size=(distinct, d)) / 4.0
+    else:
+        rows = rng.normal(size=(distinct, d))
+    picks = draw(st.lists(st.integers(0, distinct - 1), min_size=2, max_size=80))
+    x = np.vstack([rows[picks], np.repeat(rows[:1], draw(st.integers(0, 60)), axis=0)])
+    if draw(st.booleans()):
+        x = x + 1e-6 * rng.normal(size=x.shape)
+    scale, shift = draw(st.sampled_from([(1.0, 0.0), (1e3, 7e3), (1.0, 1e4)]))
+    return x * scale + shift
+
+
+@given(x=radius_inputs(), block_entries=st.sampled_from([estimation.BLOCK_ENTRIES, 997]))
+@settings(max_examples=150, deadline=None)
+def test_block_radii_match_frozen_on_drawn_inputs(x, block_entries):
+    assert_block_radii_match_frozen(x, (1, 2, 3, 5), block_entries)
+
+
 class TestPipeline:
     def test_identical_inputs(self):
         rng = np.random.default_rng(31)

@@ -237,6 +237,15 @@ class TestPipelineConfigJson:
         with pytest.raises(ParseError):
             load_pipeline_config(path)
 
+    @pytest.mark.parametrize("alphas", ['["1", "1.0", "inf"]', '[2, "2.0"]', '["inf", "inf"]', '["0", 0]'])
+    def test_a_repeated_order_is_a_parse_error(self, tmp_path, alphas):
+        # "1" and "1.0" are both alpha=1: its frontier was computed twice and
+        # "1" recorded twice in the manifest
+        path = write(tmp_path / "c.json", '{"alphas": %s}' % alphas)
+        with pytest.raises(ParseError, match="repeats an order") as info:
+            load_pipeline_config(path)
+        assert str(tmp_path) in str(info.value)
+
 
 @pytest.fixture
 def hist_specs(tmp_path):
@@ -380,6 +389,18 @@ class TestCli:
         assert (tmp_path / "f_alphainf.csv").exists()
         manifest = json.loads((tmp_path / "f.csv.manifest.json").read_text())
         assert manifest["config"]["alphas"] == ["1", "inf"]
+
+    @pytest.mark.parametrize("alphas", [["2", "2.0"], ["inf", "1", "inf"], ["1", "1e0"]])
+    def test_frontier_refuses_a_repeated_order(self, tmp_path, hist_specs, caplog, alphas):
+        # "2" and "2.0" are both alpha=2: f_alpha2.0.csv was written once and
+        # listed twice under the manifest's outputs
+        p, q = hist_specs
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["frontier", "--p", p, "--q", q, *(arg for a in alphas for arg in ("--alpha", a))]
+        assert main([*argv, "--output", str(out / "f.csv")]) == 1
+        assert "--alpha repeats an order" in caplog.text
+        assert list(out.iterdir()) == []
 
     def test_frontier_gaussian_kl(self, tmp_path, sample_csvs):
         sp, sq = sample_csvs
@@ -554,6 +575,7 @@ BAD_CONFIGS = {
     "seed-negative": '{"seed": -1}',
     "alphas-string": '{"alphas": "inf"}',
     "alphas-unparseable": '{"alphas": ["abc"]}',
+    "alphas-repeated": '{"alphas": ["1", "1.0", "inf"]}',
 }
 
 # distribution specs whose fields have the wrong JSON type, with the command that reads them
