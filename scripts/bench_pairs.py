@@ -14,6 +14,11 @@ either side's quartile spread is wider than the bound, relative to the
 parent's median, unless every change run beats every parent run: such runs
 are too noisy to tell a kept bound from an exceeded one.
 
+Last, it times ``import divfrontier`` in 30 fresh interpreters per side, as
+perfbench's ``setup_s`` does, alternating which side goes first, and prints
+each side's median and quartiles, so that a swing in ``setup_s`` can be read
+against the import itself.
+
 The two checkout paths must have the same length: readings have been seen
 to move with the length of the checkout's path alone.
 
@@ -28,12 +33,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 SIDES = ("parent", "change")
+IMPORT_RUNS = 30  # fresh interpreters per side
 
 
 def unequal_path_lengths(parent: Path, change: Path) -> str | None:
@@ -120,6 +128,29 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     return parse_result(done.stdout)
 
 
+def time_imports(checkouts: dict[str, Path], runs: int = IMPORT_RUNS) -> dict[str, list[float]]:
+    """Wall seconds of ``import divfrontier`` from each checkout's ``src/`` in
+    ``runs`` fresh interpreters per side, alternating which side goes first."""
+    times = {side: [] for side in SIDES}
+    for i in range(runs):
+        for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            env = {**os.environ, "PYTHONPATH": str((checkouts[side] / "src").resolve())}
+            start = perf_counter()
+            subprocess.run([sys.executable, "-c", "import divfrontier"], env=env, cwd=checkouts[side], check=True)
+            times[side].append(perf_counter() - start)
+    return times
+
+
+def import_lines(times: dict[str, list[float]]) -> list[str]:
+    """One line per side: the median and quartiles of its import times."""
+    lines = []
+    for side in SIDES:
+        q1, med, q3 = quartiles(times[side])
+        lines.append(f"import divfrontier {side}: median {med:.4g} s, quartiles {q1:.4g}-{q3:.4g} "
+                     f"over {len(times[side])} fresh interpreters")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -148,6 +179,7 @@ def main(argv=None) -> int:
             f"{side} {m['name']}={pair[side]['metrics'][m['name']]['value']:.6g}" for side in SIDES for m in metrics
         ), flush=True)
     print("\n".join(summarize(pairs, metrics)))
+    print("\n".join(import_lines(time_imports(checkouts))))
     return 0
 
 

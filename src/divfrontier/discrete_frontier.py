@@ -16,7 +16,7 @@ import numpy as np
 
 from .distributions import Alpha, Histogram, check_same_length
 from .divergences import renyi_rows
-from .errors import ParameterError
+from .errors import ParameterError, require_integers
 
 EXCLUSIVE = "exclusive"
 INCLUSIVE = "inclusive"
@@ -55,6 +55,7 @@ def _check_side(side: str) -> None:
 
 
 def _check_grid_size(grid_size: int) -> None:
+    require_integers(grid_size=grid_size)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise ParameterError(f"grid_size must be in [2, {MAX_GRID_SIZE}], got {grid_size}")
 

@@ -1,4 +1,5 @@
 """Exception types shared across the package."""
+from numbers import Integral
 
 
 class DivFrontierError(Exception):
@@ -11,6 +12,15 @@ class DimensionError(DivFrontierError):
 
 class ParameterError(DivFrontierError):
     """An argument is outside its valid domain."""
+
+
+def require_integers(**values) -> None:
+    """Raise ParameterError unless every value is an int or a NumPy integer.
+    A bool is refused, though Python counts it as an int."""
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in values.values()):
+        noun = "integers" if len(values) > 1 else "an integer"
+        got = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        raise ParameterError(f"{' and '.join(values)} must be {noun}, got {got}")
 
 
 class DivergenceUndefinedError(DivFrontierError):

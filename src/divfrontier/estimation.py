@@ -14,7 +14,8 @@ center, lower on the others) come within a margin above that rounding; its
 stop rule reads the inertia from the cluster sums when a proven error bound
 cannot flip the decision, and from full passes when it can (see _lloyd). Up
 to KD_TREE_MAX_DIM, each sample set's k-d tree gives its kNN radii and the
-other set's candidate pairs, which are measured explicitly.
+other set's candidate pairs, which are measured explicitly; between quarters
+of the anchors, the search drops the queries already covered.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from .discrete_frontier import (
     prd_from_infinity_frontier,
 )
 from .distributions import Alpha, GaussianParams, Histogram
-from .errors import InsufficientDataError, ParameterError
+from .errors import InsufficientDataError, ParameterError, require_integers
 from .expfam_frontier import frontier_kl, kl_endpoints
 
 SMOOTHING_EPS = 1e-10  # additive smoothing for quantized histograms
@@ -320,6 +321,7 @@ def quantize(
     if samples_p.shape[1] != samples_q.shape[1]:
         raise ParameterError("sample sets must share the embedding dimension")
     pooled = np.vstack([samples_p, samples_q])
+    require_integers(k=k, seed=seed)
     if k < 2:
         raise ParameterError("k must be >= 2")
     if k > pooled.shape[0]:
@@ -346,6 +348,7 @@ def knn_support_metrics(samples_p, samples_q, k: int = 3) -> tuple[float, float]
     samples_q = as_sample_matrix(samples_q)
     if samples_p.shape[1] != samples_q.shape[1]:
         raise ParameterError("sample sets must share the embedding dimension")
+    require_integers(k=k)
     if k < 1:
         raise ParameterError("k must be >= 1")
     for name, s in (("P", samples_p), ("Q", samples_q)):
@@ -360,12 +363,19 @@ def knn_support_metrics(samples_p, samples_q, k: int = 3) -> tuple[float, float]
 
 
 def _kd_tree(samples: np.ndarray):
-    """A k-d tree over the samples up to KD_TREE_MAX_DIM, None above."""
+    """A k-d tree over the samples up to KD_TREE_MAX_DIM, None above.
+
+    Its leaves hold up to 64 samples, against SciPy's 16. In process, on 2 x
+    10 000 rows at d = 4, knn_support_metrics took 123 / 101 / 97 / 97 ms at
+    leaf sizes 16 / 32 / 64 / 128 on a 10-mode mixture and 126 / 108 / 104 /
+    110 ms on Gaussians; at d = 8 and 12 (n = 2000) the larger leaves won too.
+    The radii are bit-identical to a leaf-16 tree's (tests compare them).
+    """
     if samples.shape[1] > KD_TREE_MAX_DIM:
         return None
     from scipy.spatial import cKDTree
 
-    return cKDTree(samples)
+    return cKDTree(samples, leafsize=64)
 
 
 def _knn_radii(anchors: np.ndarray, k: int, tree) -> np.ndarray:
@@ -410,7 +420,12 @@ def _fraction_covered(anchors: np.ndarray, radii: np.ndarray, queries: np.ndarra
     With a k-d tree over the queries, each block of anchors asks it for the
     queries within its radii widened by 1e-6 relative, far more than the
     tree's rounding, so no pair the explicit form passes is missed; every
-    candidate pair is then measured by the explicit form. Without one, the
+    candidate pair is then measured by the explicit form. A covered query
+    stays covered, so the anchors go in quarters, and before each quarter,
+    once the uncovered queries fall below 4/5 of those the tree holds, the
+    tree is rebuilt over them alone; the search ends when none is left. A
+    block holds BLOCK_ENTRIES // (queries the tree holds) anchors, so it
+    measures at most BLOCK_ENTRIES pairs or one anchor's. Without one, the
     lifted products give the sign of min_a |x - a|^2 - r_a^2, which is
     exact outside the tie band; queries inside it are measured explicitly.
     """
@@ -423,15 +438,25 @@ def _fraction_covered(anchors: np.ndarray, radii: np.ndarray, queries: np.ndarra
     if query_tree is not None:
         covered = np.zeros(queries.shape[0], dtype=bool)
         reach = radii * (1.0 + 1e-6)
-        rows = max(1, BLOCK_ENTRIES // queries.shape[0])  # pairs per block: <= BLOCK_ENTRIES or one anchor's
-        for start in range(0, anchors.shape[0], rows):
-            stop = start + rows
-            found = query_tree.query_ball_point(anchors[start:stop], reach[start:stop], return_sorted=False)
-            counts = np.fromiter(map(len, found), np.intp, len(found))
-            near = np.fromiter(chain.from_iterable(found), np.intp, counts.sum())
-            owner = np.repeat(np.arange(start, start + len(found)), counts)
-            diff = anchors[owner] - queries[near]
-            covered[near[np.sqrt((diff * diff).sum(axis=1)) <= radii[owner]]] = True
+        held = np.arange(queries.shape[0])  # the queries query_tree holds
+        quarters = [anchors.shape[0] * i // 4 for i in range(5)]
+        for lo, hi in zip(quarters, quarters[1:]):
+            left = held[~covered[held]]
+            if left.size == 0:
+                break
+            if left.size < 0.8 * held.size:
+                held, query_tree = left, _kd_tree(queries[left])
+            rows = max(1, BLOCK_ENTRIES // held.size)
+            for start in range(lo, hi, rows):
+                stop = min(start + rows, hi)
+                found = query_tree.query_ball_point(anchors[start:stop], reach[start:stop], return_sorted=False)
+                counts = np.fromiter(map(len, found), np.intp, len(found))
+                near = held[np.fromiter(chain.from_iterable(found), np.intp, counts.sum())]
+                owner = np.repeat(np.arange(start, stop), counts)
+                diff = anchors[owner]  # in place: one (pairs, d) buffer per block
+                diff -= queries[near]
+                diff *= diff
+                covered[near[np.sqrt(diff.sum(axis=1)) <= radii[owner]]] = True
         return int(np.count_nonzero(covered)) / queries.shape[0]
     # min_a |x - a|^2 - r_a^2 is |x|^2 plus a row minimum of the lifted product
     anchor_sq = (anchors * anchors).sum(axis=1)
@@ -473,6 +498,11 @@ class PipelineConfig:
     alphas: tuple[Alpha, ...] = (Alpha.one(), Alpha.infinity())
     grid_size: int = 201
     seed: int = 0
+
+    def __post_init__(self):
+        names = [str(a) for a in self.alphas]
+        if len(set(names)) < len(names):  # each order's frontier is reported under its str
+            raise ParameterError(f"config field 'alphas' repeats an order: {names}")
 
 
 @dataclass(frozen=True)

@@ -191,8 +191,6 @@ def load_pipeline_config(path) -> PipelineConfig:
 
     try:
         alphas = tuple(Alpha.parse(a) for a in alphas) or defaults.alphas
-        if len({str(a) for a in alphas}) < len(alphas):
-            raise ParameterError(f"config field 'alphas' repeats an order: {[str(a) for a in alphas]}")
         return PipelineConfig(
             k_clusters=field("k_clusters", int),
             knn_k=field("knn_k", int),
@@ -201,7 +199,7 @@ def load_pipeline_config(path) -> PipelineConfig:
             grid_size=field("grid_size", int),
             seed=seed(),
         )
-    except (OverflowError, ParameterError) as exc:  # the latter from Alpha.parse or a repeated order
+    except (OverflowError, ParameterError) as exc:  # the latter from Alpha.parse or PipelineConfig's repeated order
         raise ParseError(f"bad config value: {exc}", path=str(path)) from exc
 
 

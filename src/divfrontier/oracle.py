@@ -16,7 +16,7 @@ import numpy as np
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, _row_blocks, pareto_filter
 from .distributions import Alpha, GaussianParams, Histogram, check_same_length
 from .divergences import renyi_rows
-from .errors import ParameterError
+from .errors import ParameterError, require_integers
 
 GRID_SMOOTHING = 1e-12  # applied to grid points only, so boundary bins stay finite
 # Largest simplex grid enumerate_simplex builds, in entries (points x bins):
@@ -56,8 +56,7 @@ def enumerate_simplex(n: int, m: int) -> SimplexGrid:
     leaves, summed one level up by reduceat over the child starts), so every
     column is written once and building costs O(count x n).
     """
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in (n, m)):
-        raise ParameterError(f"n and m must be integers, got n={n!r}, m={m!r}")
+    require_integers(n=n, m=m)
     n, m = int(n), int(m)
     if n < 2 or m < 1:
         raise ParameterError("need n >= 2 and m >= 1")

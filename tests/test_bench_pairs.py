@@ -123,6 +123,38 @@ def test_bound_is_resolved_when_every_change_run_beats_every_parent_run():
     assert lines[-1] == "ops_per_s bound exceeded: median +47.4% worse than the parent (bound 25%)"
 
 
+def test_main_times_the_imports_alternately_in_fresh_interpreters(tmp_path, monkeypatch, capsys):
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}  # equal path lengths
+    for path in checkouts.values():
+        path.mkdir()
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS, "run_seconds": 5}))
+    now, imports = [0.0], []
+
+    def fake_run(cmd, cwd, **kwargs):
+        if cmd[1:] == ["-c", "import divfrontier"]:
+            side = Path(cwd).name
+            # parent imports take 0.150 s; the change's 0.140, 0.142, ... s
+            now[0] += 0.150 if side == "parent" else 0.140 + 0.002 * sum(s == "change" for s, _ in imports)
+            imports.append((side, kwargs["env"]["PYTHONPATH"]))
+            return subprocess.CompletedProcess(cmd, 0)
+        assert cmd[1] == "perfbench/run.py"
+        return subprocess.CompletedProcess(cmd, 0, stdout=canned(10.0, 0.1), stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "perf_counter", lambda: now[0])
+    argv = ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]), "--workload", "certify",
+            "--seed", "31", "--pairs", "2"]
+    assert bench_pairs.main(argv) == 0
+    assert len(imports) == 2 * bench_pairs.IMPORT_RUNS == 60
+    # the side that goes first alternates from one round to the next
+    assert [side for side, _ in imports[:6]] == ["parent", "change", "change", "parent", "parent", "change"]
+    assert {path for _, path in imports} == {str(checkouts[side] / "src") for side in bench_pairs.SIDES}
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "import divfrontier parent: median 0.15 s, quartiles 0.15-0.15 over 30 fresh interpreters",
+        "import divfrontier change: median 0.169 s, quartiles 0.1545-0.1835 over 30 fresh interpreters",
+    ]
+
+
 def test_one_pair_has_its_value_as_quartiles():
     assert bench_pairs.quartiles([2.5]) == (2.5, 2.5, 2.5)
 

@@ -10,10 +10,12 @@ from divfrontier import (
     EXCLUSIVE,
     INCLUSIVE,
     Alpha,
+    GaussianParams,
     Histogram,
     ParameterError,
     exclusive_curve_point,
     frontier,
+    frontier_kl,
     funk_metric,
     inclusive_curve_point,
     infinity_geodesic_point,
@@ -297,6 +299,16 @@ class TestFrontier:
                 frontier(P, Q, alpha, side, grid_size)
         with pytest.raises(ParameterError, match="grid_size"):
             prd_reference(P, Q, grid_size)
+
+    @pytest.mark.parametrize("grid_size", [2.5, 51.0, True, np.float64(51.0)])
+    def test_grid_size_must_be_an_integer(self, grid_size):
+        with pytest.raises(ParameterError, match="grid_size must be an integer"):
+            frontier(P, Q, Alpha.finite(2), EXCLUSIVE, grid_size)
+        with pytest.raises(ParameterError, match="grid_size must be an integer"):
+            prd_reference(P, Q, grid_size)
+        g = GaussianParams([0.0], [[1.0]])
+        with pytest.raises(ParameterError, match="grid_size must be an integer"):
+            frontier_kl(g, g, EXCLUSIVE, grid_size)
 
     def test_grid_size_at_the_cap_runs(self):
         assert frontier(P, Q, Alpha.one(), EXCLUSIVE, MAX_GRID_SIZE).points

@@ -1,4 +1,6 @@
+import tracemalloc
 import types
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from scipy.spatial import cKDTree
 
 from divfrontier import estimation
 from divfrontier import (
+    Alpha,
     GaussianParams,
     Histogram,
     InsufficientDataError,
@@ -130,6 +133,19 @@ class TestQuantize:
         with pytest.raises(ParameterError, match="seed"):
             quantize(x, x, k=2, seed=-1)
 
+    @pytest.mark.parametrize("k,seed", [(2.5, 0), (True, 0), (3.0, 0), (3, 1.5), (3, True), (3, np.float64(2.0))])
+    def test_k_and_seed_must_be_integers(self, k, seed):
+        x = np.random.default_rng(15).normal(size=(30, 2))
+        with pytest.raises(ParameterError, match="k and seed must be integers"):
+            quantize(x, x + 1.0, k, seed)
+
+    def test_numpy_integers_are_accepted(self):
+        rng = np.random.default_rng(16)
+        xp, xq = rng.normal(size=(50, 2)), rng.normal(size=(50, 2))
+        got = quantize(xp, xq, np.int64(4), seed=np.uint32(5))
+        want = quantize(xp, xq, 4, seed=5)
+        assert np.array_equal(got[2].centers, want[2].centers) and np.array_equal(got[0].probs, want[0].probs)
+
 
 class TestKnnSupportMetrics:
     def test_identical_sets(self):
@@ -176,6 +192,20 @@ class TestKnnSupportMetrics:
             knn_support_metrics(x, x, k=0)
         with pytest.raises(ParameterError):
             knn_support_metrics(x, x, k=5)
+
+    @pytest.mark.parametrize("d", [3, 16])  # the k-d tree and the distance blocks
+    @pytest.mark.parametrize("k", [2.5, 3.0, True, np.float64(3.0), "3"])
+    def test_k_must_be_an_integer(self, d, k):
+        rng = np.random.default_rng(26)
+        xp, xq = rng.normal(size=(60, d)), rng.normal(size=(60, d))
+        with pytest.raises(ParameterError, match="k must be an integer"):
+            knn_support_metrics(xp, xq, k)
+
+    def test_numpy_integers_are_accepted(self):
+        rng = np.random.default_rng(27)
+        xp, xq = rng.normal(size=(60, 3)), rng.normal(size=(60, 3))
+        want = knn_support_metrics(xp, xq, 3)
+        assert knn_support_metrics(xp, xq, np.int64(3)) == knn_support_metrics(xp, xq, np.uint8(3)) == want
 
 
 def test_zero_width_samples_rejected():
@@ -301,16 +331,12 @@ def fraction_covered(anchors, queries, k):
 
 
 def fraction_covered_reference(anchors, queries, k):
-    tree = cKDTree(anchors)
-    radii = tree.query(anchors, k=k + 1)[0][:, -1]
-    rmax = float(radii.max())
+    # every query against every anchor: a ball query for the largest radius
+    # can drop a query at exactly that distance by the tree's rounding
+    radii = cKDTree(anchors).query(anchors, k=k + 1)[0][:, -1]
     covered = 0
     for x in queries:
-        idx = tree.query_ball_point(x, rmax)
-        if idx:
-            d = np.sqrt(((anchors[idx] - x) ** 2).sum(axis=1))
-            if np.any(d <= radii[idx]):
-                covered += 1
+        covered += bool(np.any(np.sqrt(((anchors - x) ** 2).sum(axis=1)) <= radii))
     return covered / queries.shape[0]
 
 
@@ -707,6 +733,105 @@ def test_block_radii_match_frozen_on_drawn_inputs(x, block_entries):
     assert_block_radii_match_frozen(x, (1, 2, 3, 5), block_entries)
 
 
+# _fraction_covered's k-d path before it dropped the covered queries, frozen
+# with SciPy's default leaf size: one tree over all queries, asked by every
+# anchor in blocks of BLOCK_ENTRIES // n_queries.
+
+def frozen_kd_fraction_covered(anchors, radii, queries):
+    zero = np.flatnonzero(radii == 0.0)
+    if zero.size:
+        later = np.setdiff1d(zero, zero[np.unique(anchors[zero], axis=0, return_index=True)[1]])
+        anchors, radii = np.delete(anchors, later, axis=0), np.delete(radii, later)
+    query_tree = cKDTree(queries)
+    covered = np.zeros(queries.shape[0], dtype=bool)
+    reach = radii * (1.0 + 1e-6)
+    rows = max(1, estimation.BLOCK_ENTRIES // queries.shape[0])
+    for start in range(0, anchors.shape[0], rows):
+        stop = start + rows
+        found = query_tree.query_ball_point(anchors[start:stop], reach[start:stop], return_sorted=False)
+        counts = np.fromiter(map(len, found), np.intp, len(found))
+        near = np.fromiter(chain.from_iterable(found), np.intp, counts.sum())
+        owner = np.repeat(np.arange(start, start + len(found)), counts)
+        diff = anchors[owner] - queries[near]
+        covered[near[np.sqrt((diff * diff).sum(axis=1)) <= radii[owner]]] = True
+    return int(np.count_nonzero(covered)) / queries.shape[0]
+
+
+def assert_kd_coverage_matches_frozen(anchors, queries, ks, block_entries):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "BLOCK_ENTRIES", block_entries)
+        patch.setattr(estimation, "KD_TREE_MAX_DIM", 1000)  # every fixture on the k-d path
+        for k in ks:
+            if k < anchors.shape[0]:
+                radii = cKDTree(anchors, leafsize=16).query(anchors, k=k + 1)[0][:, -1]
+                got = estimation._knn_radii(anchors, k, estimation._kd_tree(anchors))
+                assert got.tobytes() == radii.tobytes(), k
+                want = frozen_kd_fraction_covered(anchors, radii, queries)
+                assert fraction_covered(anchors, queries, k) == want == fraction_covered_reference(anchors, queries, k)
+
+
+@pytest.mark.parametrize("block_entries", [estimation.BLOCK_ENTRIES, 997])
+@pytest.mark.parametrize("name", sorted(EQUIVALENCE_FIXTURES))
+def test_kd_coverage_matches_frozen_on_fixtures(name, block_entries):
+    p, q = EQUIVALENCE_FIXTURES[name]()
+    for anchors, queries in ((p, q), (q, p), (p, p)):
+        assert_kd_coverage_matches_frozen(anchors, queries, (1, 3), block_entries)
+
+
+@st.composite
+def staged_coverage_inputs(draw):
+    """Anchors in three groups on a lattice of step 1/4 in d in 1..12, drawn
+    with repeats (duplicated rows): A near the origin, filler F shifted by
+    -100, B shifted by +100, with |F| = 3 (|A| + |B|). In the order A, F, B
+    the rows of A fill at most the first quarter of the anchors and those of B
+    the last; in A, B, F both are in the first quarter, in F, A, B both in
+    the last. The queries share rows with A and B (covered in the quarter
+    holding them), are lattice points near A (covered or not, with exact
+    ties), or lie 300 away from every anchor (never covered)."""
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(-8, 9, size=(draw(st.integers(1, 20)), d)) / 4.0
+    a = rows[rng.integers(len(rows), size=draw(st.integers(1, 30)))]
+    b = rows[rng.integers(len(rows), size=draw(st.integers(1, 30)))] + 100.0
+    f = rows[rng.integers(len(rows), size=3 * (len(a) + len(b)))] - 100.0
+    groups = {"A": a, "F": f, "B": b}
+    anchors = np.vstack([groups[g] for g in draw(st.sampled_from(["AFB", "ABF", "FAB"]))])
+    lattice = rng.integers(-12, 13, size=(draw(st.integers(0, 20)), d)) / 4.0
+    queries = np.vstack([
+        a[rng.integers(len(a), size=draw(st.integers(0, 60)))],
+        b[rng.integers(len(b), size=draw(st.integers(0, 60)))],
+        lattice,
+        rows[rng.integers(len(rows), size=draw(st.integers(0, 10)))] + 300.0,
+    ])
+    assume(queries.shape[0] > 0)
+    return anchors, queries[rng.permutation(queries.shape[0])]
+
+
+@given(pair=staged_coverage_inputs(), block_entries=st.sampled_from([estimation.BLOCK_ENTRIES, 997]))
+@settings(max_examples=200, deadline=None)
+def test_kd_coverage_matches_frozen_on_staged_inputs(pair, block_entries):
+    assert_kd_coverage_matches_frozen(*pair, (1, 2, 3), block_entries)
+
+
+def test_kd_coverage_peak_memory_is_no_higher_than_frozen():
+    # k = n - 1: every ball reaches the farthest row, so every anchor covers
+    # every query and each block of anchors finds BLOCK_ENTRIES pairs
+    x = np.random.default_rng(49).uniform(size=(2000, 3))
+    radii = estimation._knn_radii(x, x.shape[0] - 1, estimation._kd_tree(x))
+    peaks = []
+    for cover in (
+        lambda: frozen_kd_fraction_covered(x, radii, x),
+        lambda: estimation._fraction_covered(x, radii, x, estimation._kd_tree(x)),
+    ):
+        tracemalloc.start()
+        try:
+            assert cover() == 1.0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0], peaks
+
+
 class TestPipeline:
     def test_identical_inputs(self):
         rng = np.random.default_rng(31)
@@ -733,6 +858,17 @@ class TestPipeline:
         assert set(report.discrete_frontiers) == {"1", "inf"}
         for prec, rec in report.prd.points:
             assert 0.0 <= prec <= 1.0 and 0.0 <= rec <= 1.0
+
+    @pytest.mark.parametrize("alphas", [
+        (Alpha.one(), Alpha.parse("1.0"), Alpha.parse("2"), Alpha.finite(2.0)),
+        (Alpha.infinity(), Alpha.parse("inf")),
+        (Alpha.zero(), Alpha.parse(0)),
+    ])
+    def test_a_repeated_order_is_refused(self, alphas):
+        # each order's frontier is reported under its str: a repeat was
+        # computed again and overwrote the first
+        with pytest.raises(ParameterError, match="repeats an order"):
+            PipelineConfig(alphas=alphas)
 
     def test_deterministic(self):
         rng = np.random.default_rng(33)
