@@ -28,12 +28,19 @@ Usage:
 
 Each run lasts the ``run_seconds`` of the change's ``BENCHMARK.json``, so a
 series is always at the length the benchmark is judged at.
+
+With ``--record PATH`` it also writes the series as JSON: the workload,
+seed, pairs and run length; the environment (CPU count, Python, NumPy,
+SciPy and BLAS versions, and both checkouts' commits); each side's failed
+and attempted ops; per metric, each side's runs, median and quartiles, the
+pairs the change won, and the claim and bound verdicts; and the import times.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -68,56 +75,86 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, med, q3
 
 
-def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
-    """Report lines for ``pairs``, each {"parent": result, "change": result},
-    over the end-to-end ``metrics`` of BENCHMARK.json (name, unit, better, bound)."""
-    lines = []
-    for side in SIDES:
-        failed = sum(p[side]["failed"] for p in pairs)
-        attempted = sum(p[side]["attempted"] for p in pairs)
-        lines.append(f"{side}: {failed} of {attempted} ops failed over {len(pairs)} runs")
-    for metric in metrics:
-        name, unit = metric["name"], metric["unit"]
-        values = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
-        for side in SIDES:
-            q1, med, q3 = quartiles(values[side])
-            lines.append(f"{name} {side}: median {med:.6g} {unit}, quartiles {q1:.6g}-{q3:.6g}")
-        sign = 1.0 if metric["better"] == "higher" else -1.0
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-        lines.append(f"{name} change wins {wins}/{len(pairs)} pairs ({metric['better']} is better)")
-        lines.extend(verdict(name, values["parent"], values["change"], wins, sign, metric["bound"]))
-    return lines
+def series(pairs: list[dict], metrics: list[dict]) -> dict:
+    """The numbers the report prints for ``pairs``, each {"parent": result,
+    "change": result}, over the end-to-end ``metrics`` of BENCHMARK.json
+    (name, unit, better, bound): each side's failed and attempted ops, and
+    per metric the runs, median and quartiles of each side, the pairs the
+    change won (ties count for neither side) and the two verdicts (see
+    metric_series)."""
+    return {
+        "pairs": len(pairs),
+        "ops": {side: {key: sum(p[side][key] for p in pairs) for key in ("failed", "attempted")} for side in SIDES},
+        "metrics": {
+            m["name"]: metric_series(m, *([p[side]["metrics"][m["name"]]["value"] for p in pairs] for side in SIDES))
+            for m in metrics
+        },
+    }
 
 
-def verdict(name: str, parent: list[float], change: list[float], wins: int, sign: float, bound: float) -> list[str]:
-    """Two lines: whether a gain may be claimed (the change wins at least
-    9 of 10 pairs, and its median is better than the parent's by more than
-    the parent's quartile spread), and whether its median is worse than the
-    parent's by more than ``bound``, a fraction of the parent's median. The
-    second is unresolved when either side's quartile spread exceeds ``bound``
-    of the parent's median, unless every change run beats every parent run."""
-    p_q1, p_med, p_q3 = quartiles(parent)
-    c_q1, c_med, c_q3 = quartiles(change)
+def metric_series(metric: dict, parent: list[float], change: list[float]) -> dict:
+    """One metric's runs on each side, their quartiles, and two verdicts.
+
+    The claim holds when the change wins at least 9 of 10 pairs and its
+    median is better than the parent's by more than the parent's quartile
+    spread. The bound is exceeded when the change's median is worse than the
+    parent's by more than ``bound``, a fraction of the parent's median; it is
+    unresolved when either side's quartile spread exceeds ``bound`` of the
+    parent's median, unless every change run beats every parent run."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    (p_q1, p_med, p_q3), (c_q1, c_med, c_q3) = quartiles(parent), quartiles(change)
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
     gain = sign * (c_med - p_med)
-    claim = 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1
     worse = -gain / p_med + 0.0  # + 0.0 turns a zero change's -0.0 into +0
-    spreads = (p_q3 - p_q1) / abs(p_med), (c_q3 - c_q1) / abs(p_med)
+    spreads = {"parent": (p_q3 - p_q1) / abs(p_med), "change": (c_q3 - c_q1) / abs(p_med)}
     beats_all = all(sign * (c - p) > 0 for c in change for p in parent)
-    unresolved = max(spreads) > bound and not beats_all
-    bound_line = (
-        f"{name} bound {'unresolved' if unresolved else 'exceeded' if worse > bound else 'kept'}: "
-        f"median {100 * worse:+.3g}% worse than the parent (bound {100 * bound:.3g}%)"
-    )
-    if unresolved:
-        bound_line += (
-            f", but the quartile spreads are {100 * spreads[0]:.3g}% (parent) and {100 * spreads[1]:.3g}% (change) "
-            "of the parent's median"
-        )
-    return [
-        f"{name} claim {'holds' if claim else 'fails'}: wins {wins}/{len(parent)} (needs 9/10), "
-        f"median gain {gain:.6g} against parent quartile spread {p_q3 - p_q1:.6g}",
-        bound_line,
-    ]
+    unresolved = max(spreads.values()) > metric["bound"] and not beats_all
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "bound": metric["bound"],
+        "parent": side_series(parent),
+        "change": side_series(change),
+        "wins": wins,
+        "median_gain": gain,
+        "parent_spread": p_q3 - p_q1,
+        "claim": "holds" if 10 * wins >= 9 * len(parent) and gain > p_q3 - p_q1 else "fails",
+        "worse": worse,
+        "spreads": spreads,
+        "bound_verdict": "unresolved" if unresolved else "exceeded" if worse > metric["bound"] else "kept",
+    }
+
+
+def side_series(runs: list[float]) -> dict:
+    """One side's runs with their median and quartiles."""
+    q1, med, q3 = quartiles(runs)
+    return {"runs": runs, "median": med, "quartiles": [q1, q3]}
+
+
+def summarize(pairs: list[dict], metrics: list[dict]) -> list[str]:
+    """Report lines for ``pairs`` over ``metrics`` (see series)."""
+    return series_lines(series(pairs, metrics))
+
+
+def series_lines(numbers: dict) -> list[str]:
+    """The report lines of a series, as ``series`` gives it."""
+    lines = [f"{side}: {ops['failed']} of {ops['attempted']} ops failed over {numbers['pairs']} runs"
+             for side, ops in numbers["ops"].items()]
+    n = numbers["pairs"]
+    for name, m in numbers["metrics"].items():
+        for side in SIDES:
+            (q1, q3), med = m[side]["quartiles"], m[side]["median"]
+            lines.append(f"{name} {side}: median {med:.6g} {m['unit']}, quartiles {q1:.6g}-{q3:.6g}")
+        lines.append(f"{name} change wins {m['wins']}/{n} pairs ({m['better']} is better)")
+        lines.append(f"{name} claim {m['claim']}: wins {m['wins']}/{n} (needs 9/10), "
+                     f"median gain {m['median_gain']:.6g} against parent quartile spread {m['parent_spread']:.6g}")
+        bound_line = (f"{name} bound {m['bound_verdict']}: median {100 * m['worse']:+.3g}% worse than the parent "
+                      f"(bound {100 * m['bound']:.3g}%)")
+        if m["bound_verdict"] == "unresolved":
+            bound_line += (f", but the quartile spreads are {100 * m['spreads']['parent']:.3g}% (parent) and "
+                           f"{100 * m['spreads']['change']:.3g}% (change) of the parent's median")
+        lines.append(bound_line)
+    return lines
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -151,6 +188,29 @@ def import_lines(times: dict[str, list[float]]) -> list[str]:
     return lines
 
 
+def commit_of(checkout: Path) -> str | None:
+    """The checkout's HEAD commit, or None where it is not a git checkout."""
+    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def environment(checkouts: dict[str, Path]) -> dict:
+    """The host and the libraries the runs used (this interpreter's: each run
+    is started with it), and each side's commit."""
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "commits": {side: commit_of(checkouts[side]) for side in SIDES},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -158,6 +218,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--record", type=Path, help="also write the series as JSON to this file")
     args = parser.parse_args(argv)
 
     refusal = unequal_path_lengths(args.parent, args.change)
@@ -179,7 +240,18 @@ def main(argv=None) -> int:
             f"{side} {m['name']}={pair[side]['metrics'][m['name']]['value']:.6g}" for side in SIDES for m in metrics
         ), flush=True)
     print("\n".join(summarize(pairs, metrics)))
-    print("\n".join(import_lines(time_imports(checkouts))))
+    imports = time_imports(checkouts)
+    print("\n".join(import_lines(imports)))
+    if args.record:
+        record = {
+            "workload": args.workload,
+            "seed": args.seed,
+            "run_seconds": seconds,
+            "environment": environment(checkouts),
+            **series(pairs, metrics),
+            "imports": {side: side_series(imports[side]) for side in SIDES},
+        }
+        args.record.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 
 

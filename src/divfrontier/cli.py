@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, frontier, prd_from_infinity_frontier
-from .distributions import Alpha, GaussianParams, Histogram
+from .distributions import Alpha, GaussianParams, Histogram, require_distinct_orders
 from .errors import (
     DimensionError,
     DivergenceUndefinedError,
@@ -105,8 +105,7 @@ def _cmd_frontier(args) -> None:
     alphas = [Alpha.parse(a) for a in args.alpha]
     if not alphas:
         raise ParameterError("at least one --alpha is required")
-    if len({str(a) for a in alphas}) < len(alphas):
-        raise ParameterError(f"--alpha repeats an order: {[str(a) for a in alphas]}")
+    require_distinct_orders(alphas, "--alpha")
     p, q = _load_inputs(args, fit=True)
     discrete = isinstance(p, Histogram) and isinstance(q, Histogram)
     if discrete:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .distributions import Alpha, Histogram, check_same_length
+from .distributions import Alpha, Histogram, check_same_length, require_alpha
 from .divergences import renyi_rows
 from .errors import ParameterError, require_integers
 
@@ -112,6 +112,7 @@ def _power_mean_point(p: Histogram, q: Histogram, e: float, lam: float) -> Histo
 def exclusive_curve_point(p: Histogram, q: Histogram, alpha: Alpha, lam: float) -> Histogram:
     """Point on the exclusive barycentric path, the power mean of order 1-a:
     gamma_i proportional to (lam*q_i^(1-a) + (1-lam)*p_i^(1-a))^(1/(1-a))."""
+    require_alpha(alpha)
     if not alpha.is_finite:
         raise ParameterError(
             "exclusive_curve_point needs a finite alpha != 1; use kl_curve_point "
@@ -123,6 +124,7 @@ def exclusive_curve_point(p: Histogram, q: Histogram, alpha: Alpha, lam: float) 
 def inclusive_curve_point(p: Histogram, q: Histogram, alpha: Alpha, lam: float) -> Histogram:
     """Point on the inclusive path, the power mean of order a:
     gamma_i proportional to (lam*q_i^a + (1-lam)*p_i^a)^(1/a)."""
+    require_alpha(alpha)
     if not alpha.is_finite:
         raise ParameterError(
             "inclusive_curve_point needs a finite alpha != 1; use kl_curve_point "
@@ -174,24 +176,35 @@ def pareto_filter(points: Sequence[tuple[float, float]] | np.ndarray) -> list[tu
     """Remove points strictly dominated in both coordinates (minimization).
 
     Output is sorted ascending by first coordinate (ties by second) and
-    deduplicated on exact ties of both coordinates.
+    deduplicated on exact ties of both coordinates. Points are (x, y) pairs,
+    infinities allowed; other input, NaN included, raises ParameterError.
 
     From _PREFILTER_MIN points on, the front of a strided sample first drops
     every point that one of its points beats strictly in both coordinates.
     That cannot change the output. Such a point would be dropped anyway, and
     its dominator, which no sample point beats, stays and beats everything
     the dropped point beats, so no running minimum moves. The kept points
-    keep their input order, so exact ties resolve as before. A NaN y stops
-    the running minimum, which then keeps every later point, so an input
-    with a NaN is not prefiltered.
+    keep their input order, so exact ties resolve as before.
     """
-    xy = np.asarray(points, dtype=float).reshape(-1, 2)
-    return list(map(tuple, _pareto_front(xy).tolist()))
+    return list(map(tuple, _pareto_front(_point_array(points)).tolist()))
+
+
+def _point_array(points) -> np.ndarray:
+    """points as an (N, 2) float array, (0, 2) when empty; ragged or
+    wrong-shaped input, or a NaN coordinate, raises ParameterError."""
+    try:
+        xy = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"points must be (x, y) pairs of numbers: {exc}") from exc
+    xy = xy.reshape(0, 2) if xy.size == 0 else xy
+    if xy.ndim != 2 or xy.shape[1] != 2 or np.isnan(xy).any():
+        raise ParameterError(f"points must be (x, y) pairs without NaN, got an array of shape {xy.shape}")
+    return xy
 
 
 def _pareto_front(xy: np.ndarray) -> np.ndarray:
     """pareto_filter's output rows as an array, the prefilter included."""
-    if xy.shape[0] >= _PREFILTER_MIN and not np.isnan(xy).any():
+    if xy.shape[0] >= _PREFILTER_MIN:
         front = _pareto_front(xy[:: xy.shape[0] // (_PREFILTER_MIN // 2)])
         # the least y among front points of strictly smaller x, where there is one
         below = np.searchsorted(front[:, 0], xy[:, 0])
@@ -209,16 +222,18 @@ def _pareto_front(xy: np.ndarray) -> np.ndarray:
     return s[~(s[:, 1] > best[run_start])]
 
 
-def _pareto_filter_triples(
-    triples: list[tuple[float, float, float]]
-) -> tuple[tuple[float, float, float], ...]:
-    """Pareto-filter (lam, x, y) triples on their (x, y) coordinates, keeping
-    the first triple of each surviving pair, in input order."""
-    first: dict[tuple[float, float], tuple[float, float, float]] = {}
-    for triple in triples:
-        first.setdefault(triple[1:], triple)
-    survivors = set(pareto_filter(list(first)))
-    return tuple(triple for key, triple in first.items() if key in survivors)
+def _traced_curve(lams: np.ndarray, width: int, pairs_of, side: str, alpha: Alpha) -> FrontierCurve:
+    """The curve of the (lambda, div_p, div_q) triples whose pair pareto_filter
+    keeps, each pair at its first lambda, in lambda order; pairs_of gives the
+    (div_p, div_q) arrays of each block of _row_blocks(lams, width)."""
+    xy = np.column_stack([np.concatenate(c) for c in zip(*map(pairs_of, _row_blocks(lams, width)))])
+    # one complex value per (x, y) row sorts and compares as the pair does
+    # (-0.0 equal to 0.0), so the sorted front pairs are found among the
+    # sorted distinct pairs, each with its first row
+    front = np.array(pareto_filter(xy), dtype=float).view(complex)[:, 0]
+    pairs, first = np.unique(xy.view(complex)[:, 0], return_index=True)
+    keep = np.sort(first[np.searchsorted(pairs, front)])
+    return FrontierCurve(tuple(zip(lams[keep].tolist(), *xy[keep].T.tolist())), side, alpha)
 
 
 def _geometric_lambda_grid(lo: float, hi: float, grid_size: int) -> np.ndarray:
@@ -248,6 +263,7 @@ def frontier(
     are (D_a(p||gamma), D_a(q||gamma)). alpha = infinity dispatches to the
     geodesic parameterization (exclusive side only).
     """
+    require_alpha(alpha)
     _check_side(side)
     check_same_length(p, q)
     _check_grid_size(grid_size)
@@ -256,6 +272,7 @@ def frontier(
             "alpha=0 frontiers degenerate to support overlap; use the kNN "
             "support metrics in the estimation module"
         )
+    pv, qv = p.probs, q.probs
     if alpha.is_infinity:
         if side != EXCLUSIVE:
             raise ParameterError("alpha=inf frontiers are only defined exclusively")
@@ -263,16 +280,15 @@ def frontier(
     else:
         lams = np.linspace(0.0, 1.0, grid_size)
         e = alpha.value if side == INCLUSIVE else 1.0 - alpha.value
-    divs = []
-    for lam in _row_blocks(lams, len(p)):
-        W = _geodesic_rows(p.probs, q.probs, lam) if alpha.is_infinity else _power_mean_rows(p.probs, q.probs, e, lam)
+
+    def pairs_of(block):
+        W = _geodesic_rows(pv, qv, block) if alpha.is_infinity else _power_mean_rows(pv, qv, e, block)
         G = np.stack([Histogram(w).probs for w in W])  # each row normalised as a Histogram
         if side == EXCLUSIVE:
-            divs.append((renyi_rows(G, p.probs, alpha), renyi_rows(G, q.probs, alpha)))
-        else:
-            divs.append((renyi_rows(p.probs, G, alpha), renyi_rows(q.probs, G, alpha)))
-    div_p, div_q = (np.concatenate(d).tolist() for d in zip(*divs))
-    return FrontierCurve(_pareto_filter_triples(list(zip(lams.tolist(), div_p, div_q))), side, alpha)
+            return renyi_rows(G, pv, alpha), renyi_rows(G, qv, alpha)
+        return renyi_rows(pv, G, alpha), renyi_rows(qv, G, alpha)
+
+    return _traced_curve(lams, len(p), pairs_of, side, alpha)
 
 
 def _prd_curve(pairs) -> PRDCurve:

@@ -28,7 +28,10 @@ class Histogram:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
+        try:
+            probs = np.asarray(self.probs, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ParameterError(f"histogram entries must be numbers: {exc}") from exc
         if probs.ndim != 1 or probs.size < 1:
             raise ParameterError("histogram must be a 1-D vector with at least one entry")
         low, top = probs.min(), probs.max()
@@ -132,6 +135,21 @@ class Alpha:
 
     def __str__(self):
         return {0.0: "0", 1.0: "1", math.inf: "inf"}.get(self.value, repr(self.value))
+
+
+def require_alpha(alpha) -> None:
+    """Raise ParameterError unless alpha is an Alpha; the one check of every
+    public function that takes an order."""
+    if not isinstance(alpha, Alpha):
+        raise ParameterError(f"alpha must be an Alpha, got {alpha!r}; make one with Alpha.parse({alpha!r})")
+
+
+def require_distinct_orders(alphas, what: str) -> None:
+    """Raise ParameterError if two orders share their str, under which each
+    order's frontier is reported; what names the orders' source."""
+    names = [str(a) for a in alphas]
+    if len(set(names)) < len(names):
+        raise ParameterError(f"{what} repeats an order: {names}")
 
 
 @dataclass(frozen=True)

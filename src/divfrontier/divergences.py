@@ -19,6 +19,7 @@ from .distributions import (
     Histogram,
     check_same_dim,
     check_same_length,
+    require_alpha,
 )
 from .errors import DivergenceUndefinedError, ParameterError
 
@@ -126,6 +127,7 @@ def renyi_rows(x: np.ndarray, y: np.ndarray, alpha: Alpha) -> np.ndarray:
 
 def renyi_discrete(p: Histogram, q: Histogram, alpha: Alpha) -> float:
     """Renyi divergence D_alpha(p || q) for any order tag."""
+    require_alpha(alpha)
     check_same_length(p, q)
     return float(renyi_rows(p.probs, q.probs, alpha)[0])
 
@@ -226,6 +228,7 @@ def renyi_gaussian(P: GaussianParams, Q: GaussianParams, alpha: Alpha) -> float:
     :class:`DivergenceUndefinedError` is raised (distinct from +inf).
     alpha = inf is the supremum of log(p/q), available in 1-D only.
     """
+    require_alpha(alpha)
     check_same_dim(P, Q)
     if alpha.is_one:
         return kl_gaussian(P, Q)

@@ -28,10 +28,11 @@ from .discrete_frontier import (
     EXCLUSIVE,
     FrontierCurve,
     PRDCurve,
+    _check_grid_size,
     frontier,
     prd_from_infinity_frontier,
 )
-from .distributions import Alpha, GaussianParams, Histogram
+from .distributions import Alpha, GaussianParams, Histogram, require_alpha, require_distinct_orders
 from .errors import InsufficientDataError, ParameterError, require_integers
 from .expfam_frontier import frontier_kl, kl_endpoints
 
@@ -151,8 +152,7 @@ def fit_gaussian(samples, ridge: float = 0.0) -> GaussianParams:
     n = samples.shape[0]
     if n < 2:
         raise InsufficientDataError(f"need at least 2 samples to fit a Gaussian, got {n}")
-    if not 0 <= ridge < np.inf:
-        raise ParameterError(f"ridge must be finite and nonnegative, got {ridge}")
+    _check_ridge(ridge)
     mean = samples.mean(axis=0)
     centered = samples - mean
     cov = centered.T @ centered / (n - 1) + ridge * np.eye(samples.shape[1])
@@ -162,6 +162,11 @@ def fit_gaussian(samples, ridge: float = 0.0) -> GaussianParams:
         raise InsufficientDataError(
             "sample covariance is not positive definite; increase ridge or add samples"
         ) from exc
+
+
+def _check_ridge(ridge) -> None:
+    if not (isinstance(ridge, (int, float, np.integer, np.floating)) and 0 <= ridge < np.inf):
+        raise ParameterError(f"ridge must be finite and nonnegative, got {ridge}")
 
 
 def _kmeans_pp_init(columns: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -324,8 +329,7 @@ def quantize(
     require_integers(k=k, seed=seed)
     if k < 2:
         raise ParameterError("k must be >= 2")
-    if k > pooled.shape[0]:
-        raise ParameterError(f"k={k} exceeds combined sample count {pooled.shape[0]}")
+    _check_cluster_count(k, pooled.shape[0])
     if seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed}")
     columns = np.ascontiguousarray(pooled.T)
@@ -335,6 +339,17 @@ def quantize(
     hist_p = np.bincount(model.assign(samples_p), minlength=k) + SMOOTHING_EPS
     hist_q = np.bincount(model.assign(samples_q), minlength=k) + SMOOTHING_EPS
     return Histogram(hist_p), Histogram(hist_q), model
+
+
+def _check_cluster_count(k: int, pooled: int) -> None:
+    if k > pooled:
+        raise ParameterError(f"k={k} exceeds combined sample count {pooled}")
+
+
+def _check_neighbour_count(k: int, samples_p: np.ndarray, samples_q: np.ndarray) -> None:
+    for name, s in (("P", samples_p), ("Q", samples_q)):
+        if k >= s.shape[0]:
+            raise ParameterError(f"k={k} must be smaller than the {name} sample count {s.shape[0]}")
 
 
 def knn_support_metrics(samples_p, samples_q, k: int = 3) -> tuple[float, float]:
@@ -351,9 +366,7 @@ def knn_support_metrics(samples_p, samples_q, k: int = 3) -> tuple[float, float]
     require_integers(k=k)
     if k < 1:
         raise ParameterError("k must be >= 1")
-    for name, s in (("P", samples_p), ("Q", samples_q)):
-        if k >= s.shape[0]:
-            raise ParameterError(f"k={k} must be smaller than the {name} sample count {s.shape[0]}")
+    _check_neighbour_count(k, samples_p, samples_q)
     tree_p, tree_q = _kd_tree(samples_p), _kd_tree(samples_q)
     radii_p = _knn_radii(samples_p, k, tree_p)
     radii_q = _knn_radii(samples_q, k, tree_q)
@@ -500,9 +513,17 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        names = [str(a) for a in self.alphas]
-        if len(set(names)) < len(names):  # each order's frontier is reported under its str
-            raise ParameterError(f"config field 'alphas' repeats an order: {names}")
+        require_integers(k_clusters=self.k_clusters, knn_k=self.knn_k, grid_size=self.grid_size, seed=self.seed)
+        for name, least in (("k_clusters", 2), ("knn_k", 1), ("seed", 0)):
+            if getattr(self, name) < least:
+                raise ParameterError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        _check_grid_size(self.grid_size)
+        _check_ridge(self.ridge)
+        if not isinstance(self.alphas, tuple):
+            raise ParameterError(f"alphas must be a tuple of Alpha, got {self.alphas!r}")
+        for alpha in self.alphas:
+            require_alpha(alpha)
+        require_distinct_orders(self.alphas, "config field 'alphas'")
 
 
 @dataclass(frozen=True)
@@ -526,6 +547,9 @@ def evaluate_pipeline(samples_p, samples_q, config: PipelineConfig = PipelineCon
     """Run both evaluation strategies end to end; deterministic given the seed."""
     samples_p = as_sample_matrix(samples_p)
     samples_q = as_sample_matrix(samples_q)
+    # the config checked its own fields; the sample counts are known only here
+    _check_cluster_count(config.k_clusters, samples_p.shape[0] + samples_q.shape[0])
+    _check_neighbour_count(config.knn_k, samples_p, samples_q)
     g_p = fit_gaussian(samples_p, config.ridge)
     g_q = fit_gaussian(samples_q, config.ridge)
     precision_loss, recall_loss = kl_endpoints(g_p, g_q)

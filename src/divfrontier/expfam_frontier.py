@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_grid_size, _check_lambda_unit, _check_side
-from .discrete_frontier import _pareto_filter_triples, _row_blocks
+from .discrete_frontier import _traced_curve
 from .distributions import Alpha, GaussianParams
 from .divergences import INF, _clip_nonneg, _far_1d, _kl_1d, _kl_axes, _whitened_pair
 from .errors import ParameterError
@@ -226,15 +226,14 @@ def frontier_kl(
     if far is not None:
         if not np.isfinite(far[2]):
             return ends
-        div_p, div_q = _frontier_far_1d(*far, lams, side)
-        return FrontierCurve(_pareto_filter_triples(list(zip(lams.tolist(), div_p, div_q))), side, Alpha.one())
+        return _traced_curve(lams, 1, lambda block: _frontier_far_1d(*far, block, side), side, Alpha.one())
     t, s, d2 = _whitened_pair(P, Q)
     if not np.isfinite(d2.sum()):
         # the squared mean offset overflows, so 0 * inf would make NaN of
         # the exact ends and the interior losses are out of float range
         return ends
-    divs = []
-    for block in _row_blocks(lams, t.size):
+
+    def pairs_of(block):
         lam, mu = block[:, None], 1.0 - block[:, None]
         # KL = (sum over axes of 1/r - 1 + log r + m, plus log k) / 2; each r is
         # exactly 1 at its own end, so the vanishing coordinate is exactly 0 there
@@ -248,12 +247,12 @@ def frontier_kl(
             c_s0 = c * (d2 / var).sum(axis=1, keepdims=True)  # k = 1 + c_s0 by the determinant lemma
             m_p, m_q = (d2 / var * (w * w - c / r) / (1.0 + c_s0) for w, r in ((mu, r_p), (lam, r_q)))
             log_k = np.log1p(c_s0[:, 0])
-        divs.append([_clip_nonneg(_kl_axes(r, m) + 0.5 * log_k) for r, m in ((r_p, m_p), (r_q, m_q))])
-    div_p, div_q = (np.concatenate(d).tolist() for d in zip(*divs))
-    return FrontierCurve(_pareto_filter_triples(list(zip(lams.tolist(), div_p, div_q))), side, Alpha.one())
+        return tuple(_clip_nonneg(_kl_axes(r, m) + 0.5 * log_k) for r, m in ((r_p, m_p), (r_q, m_q)))
+
+    return _traced_curve(lams, t.size, pairs_of, side, Alpha.one())
 
 
-def _frontier_far_1d(vp: float, vq: float, delta: float, lams: np.ndarray, side: str) -> tuple[list, list]:
+def _frontier_far_1d(vp: float, vq: float, delta: float, lams: np.ndarray, side: str) -> tuple[np.ndarray, np.ndarray]:
     """frontier_kl's two losses for 1-D Gaussians whose variances are beyond
     float range of each other (see divergences._far_1d), in logs.
 
@@ -276,7 +275,7 @@ def _frontier_far_1d(vp: float, vq: float, delta: float, lams: np.ndarray, side:
             log_v = np.logaddexp(np.logaddexp(log_lam + lp, log_mu + lq), log_lam + log_mu + log_d2)
             terms = ((lp - log_v, 2.0 * log_mu + log_d2 - log_v), (lq - log_v, 2.0 * log_lam + log_d2 - log_v))
         # (x - 1 - log x + m) / 2 from log x and log m
-        return tuple(_clip_nonneg(0.5 * (np.exp(x) - 1.0 - x + np.exp(m))).tolist() for x, m in terms)
+        return tuple(_clip_nonneg(0.5 * (np.exp(x) - 1.0 - x + np.exp(m))) for x, m in terms)
 
 
 def kl_endpoints(P: GaussianParams, Q: GaussianParams) -> tuple[float, float]:

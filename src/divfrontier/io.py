@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .discrete_frontier import FrontierCurve, PRDCurve
-from .distributions import Alpha, GaussianParams, Histogram
+from .distributions import Alpha, GaussianParams, Histogram, require_distinct_orders
 from .errors import ParameterError, ParseError
 from .estimation import PipelineConfig
 
@@ -191,16 +191,17 @@ def load_pipeline_config(path) -> PipelineConfig:
 
     try:
         alphas = tuple(Alpha.parse(a) for a in alphas) or defaults.alphas
-        return PipelineConfig(
+        values = dict(
             k_clusters=field("k_clusters", int),
             knn_k=field("knn_k", int),
             ridge=field("ridge", float),
-            alphas=alphas,
             grid_size=field("grid_size", int),
             seed=seed(),
         )
-    except (OverflowError, ParameterError) as exc:  # the latter from Alpha.parse or PipelineConfig's repeated order
+        require_distinct_orders(alphas, "config field 'alphas'")
+    except (OverflowError, ParameterError) as exc:  # the latter from Alpha.parse or a repeated order
         raise ParseError(f"bad config value: {exc}", path=str(path)) from exc
+    return PipelineConfig(alphas=alphas, **values)  # a value out of range is a ParameterError, as where it is used
 
 
 def _is_number(value) -> bool:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, _row_blocks, pareto_filter
-from .distributions import Alpha, GaussianParams, Histogram, check_same_length
+from .discrete_frontier import EXCLUSIVE, INCLUSIVE, FrontierCurve, _check_side, _point_array, _row_blocks
+from .discrete_frontier import pareto_filter
+from .distributions import Alpha, GaussianParams, Histogram, check_same_length, require_alpha
 from .divergences import renyi_rows
 from .errors import ParameterError, require_integers
 
@@ -95,6 +96,7 @@ def realizable_pairs(
     as it does over the whole bins-major grid (a single row is summed
     pairwise from 8 bins); every value is the one the whole grid gives.
     """
+    require_alpha(alpha)
     _check_side(side)
     check_same_length(p, q)
     if grid.n != len(p):
@@ -124,22 +126,23 @@ def brute_force_frontier(
 
 
 def max_dominance_violation(
-    curve_points: list[tuple[float, float]] | np.ndarray, grid_pairs: np.ndarray
+    curve_points: list[tuple[float, float]] | np.ndarray, grid_pairs: list[tuple[float, float]] | np.ndarray
 ) -> float:
     """Largest margin by which any grid point beats a curve point in both
     coordinates simultaneously (0 if none dominates at all)."""
-    C = np.asarray(curve_points, dtype=float).reshape(-1, 2)
+    C, F = _point_array(curve_points), _point_array(grid_pairs)
     block_max = [
-        np.minimum(c[:, None, 0] - grid_pairs[None, :, 0], c[:, None, 1] - grid_pairs[None, :, 1]).max(initial=0.0)
-        for c in _row_blocks(C, len(grid_pairs))
+        np.minimum(c[:, None, 0] - F[None, :, 0], c[:, None, 1] - F[None, :, 1]).max(initial=0.0)
+        for c in _row_blocks(C, len(F))
     ]
     return float(np.max(block_max, initial=0.0))
 
 
 def hausdorff_linf(a: list[tuple[float, float]], b: list[tuple[float, float]]) -> float:
     """Symmetric Hausdorff distance under the max-coordinate point metric:
-    inf when exactly one of the sets is empty, 0 when both are."""
-    A, B = np.asarray(a), np.asarray(b)
+    inf when exactly one of the sets is empty, 0 when both are. Each set
+    holds (x, y) pairs, as for pareto_filter."""
+    A, B = _point_array(a), _point_array(b)
     if not A.size or not B.size:
         return 0.0 if A.size == B.size else math.inf
     row_max, col_min = [], np.inf
@@ -167,6 +170,7 @@ def certify_frontier(
     coarsely the curve is sampled rather than from a wrong closed form.
     The curve must have been traced for the same side and order.
     """
+    require_alpha(alpha)
     if curve.side != side:
         raise ParameterError(f"curve was traced for the {curve.side} side, not the {side} side")
     if curve.alpha != alpha:
@@ -199,6 +203,7 @@ def divergence_quadrature(
     1-D uses adaptive quadrature, d >= 2 Monte Carlo with P-samples.
     Returns (value, error_estimate).
     """
+    require_alpha(alpha)
     if P.dim != Q.dim:
         raise ParameterError("dimension mismatch")
     if alpha.is_zero:

@@ -43,8 +43,8 @@ def rng():
 
 
 def pareto_filter_triples_loop(triples):
-    """discrete_frontier._pareto_filter_triples as a set and a loop: the first
-    triple of each Pareto-surviving (x, y) pair, in input order."""
+    """The Pareto selection of discrete_frontier._traced_curve as a set and a
+    loop: the first triple of each Pareto-surviving (x, y) pair, in input order."""
     survivors = set(pareto_filter([(x, y) for _, x, y in triples]))
     seen = set()
     out = []

@@ -155,6 +155,48 @@ def test_main_times_the_imports_alternately_in_fresh_interpreters(tmp_path, monk
     ]
 
 
+def test_record_holds_the_printed_series(tmp_path, monkeypatch, capsys):
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for path in checkouts.values():
+        path.mkdir()
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS, "run_seconds": 5}))
+    runs = {"parent": iter([(10.0, 0.10), (11.0, 0.09), (9.0, 0.11)]),
+            "change": iter([(12.0, 0.08), (10.5, 0.10), (13.0, 0.07)])}
+    now = [0.0]
+
+    def fake_run(cmd, cwd=None, **kwargs):
+        if cmd[0] == "git":  # the checkout's commit: "parent" or "change" as hex
+            return subprocess.CompletedProcess(cmd, 0, stdout=Path(cmd[2]).name.encode().hex() + "\n")
+        side = Path(cwd).name
+        if cmd[1:] == ["-c", "import divfrontier"]:
+            now[0] += 0.150 if side == "parent" else 0.140
+            return subprocess.CompletedProcess(cmd, 0)
+        return subprocess.CompletedProcess(cmd, 0, stdout=canned(*next(runs[side]), failed=side == "change"), stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs, "perf_counter", lambda: now[0])
+    record_path = tmp_path / "BENCH.json"
+    argv = ["--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]), "--workload", "certify",
+            "--seed", "31", "--pairs", "3", "--record", str(record_path)]
+    assert bench_pairs.main(argv) == 0
+    printed = capsys.readouterr().out.splitlines()
+    record = json.loads(record_path.read_text())
+    assert (record["workload"], record["seed"], record["pairs"], record["run_seconds"]) == ("certify", 31, 3, 5)
+    env = record["environment"]
+    assert env["commits"] == {"parent": "parent".encode().hex(), "change": "change".encode().hex()}
+    assert env["cpu_count"] >= 1 and {"python", "numpy", "scipy", "blas"} <= set(env)
+    assert record["ops"] == {"parent": {"failed": 0, "attempted": 300}, "change": {"failed": 3, "attempted": 300}}
+    ops = record["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"runs": [10.0, 11.0, 9.0], "median": 10.0, "quartiles": [9.5, 10.5]}
+    assert ops["change"] == {"runs": [12.0, 10.5, 13.0], "median": 12.0, "quartiles": [11.25, 12.5]}
+    assert (ops["wins"], ops["claim"], ops["bound_verdict"]) == (2, "fails", "kept")
+    # every number of the printout is in the record
+    lines = [line for line in printed if not line.startswith("pair ")]
+    assert lines == bench_pairs.series_lines(record) + bench_pairs.import_lines(
+        {side: record["imports"][side]["runs"] for side in bench_pairs.SIDES})
+    assert record["imports"]["parent"]["runs"] == pytest.approx([0.150] * bench_pairs.IMPORT_RUNS)
+
+
 def test_one_pair_has_its_value_as_quartiles():
     assert bench_pairs.quartiles([2.5]) == (2.5, 2.5, 2.5)
 

@@ -32,7 +32,6 @@ from divfrontier.discrete_frontier import (
     _check_side,
     _geodesic_rows,
     _geometric_lambda_grid,
-    _pareto_filter_triples,
     _power_mean_rows,
     _ratio_domain,
 )
@@ -197,6 +196,17 @@ class TestParetoFilter:
         # strict dominance needs both coordinates strictly smaller
         assert pareto_filter([(1.0, 1.0), (1.0, 2.0)]) == [(1.0, 1.0), (1.0, 2.0)]
 
+    @pytest.mark.parametrize("bad", [[(1, 2), (3,)], [(0, 1, 2)], [1.0, 2.0], [[(1, 2)]], [("a", 1)], 5.0])
+    def test_ragged_or_wrong_shaped_points_are_refused(self, bad):
+        with pytest.raises(ParameterError, match="points must be"):
+            pareto_filter(bad)
+
+    @pytest.mark.parametrize("pts", [[(0.0, np.nan), (1.0, 1.0), (2.0, 2.0)], [(np.nan, 0.0)]])
+    def test_a_nan_coordinate_is_refused(self, pts):
+        # a NaN y stopped the running minimum: (2, 2) was kept, though (1, 1) dominates it
+        with pytest.raises(ParameterError, match="NaN"):
+            pareto_filter(pts)
+
     @given(
         st.lists(
             st.tuples(st.integers(0, 8), st.integers(0, 8)).map(
@@ -216,15 +226,6 @@ class TestParetoFilter:
             }
         )
         assert pareto_filter(pts) == brute
-
-
-triple_coords = st.sampled_from([0.0, -0.0, 1.0, 2.0, float("inf")])
-
-
-@given(st.lists(st.tuples(st.floats(0.0, 1.0), triple_coords, triple_coords), max_size=30))
-def test_pareto_filter_triples_matches_the_loop(triples):
-    # few distinct coordinates, so duplicates, ties and signed zeros are common
-    assert repr(_pareto_filter_triples(triples)) == repr(pareto_filter_triples_loop(triples))
 
 
 class TestFrontier:

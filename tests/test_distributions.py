@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import divfrontier as df
 from divfrontier import Alpha, GaussianParams, Histogram, ParameterError, histograms_equal
 from divfrontier.errors import DimensionError
 
@@ -34,6 +35,11 @@ class TestHistogram:
     def test_rejects_nonfinite(self):
         with pytest.raises(ParameterError):
             Histogram([1.0, float("nan")])
+
+    @pytest.mark.parametrize("bad", ["ab", [1, "x"], [[1.0], [1.0, 2.0]], object()])
+    def test_rejects_what_is_not_numbers(self, bad):
+        with pytest.raises(ParameterError):
+            Histogram(bad)
 
     def test_immutable(self):
         h = Histogram([1.0, 1.0])
@@ -138,6 +144,32 @@ class TestAlpha:
     def test_str_names_outputs(self, text, expected):
         # manifests and frontier_alpha<str>.csv names use this text
         assert str(Alpha.parse(text)) == expected
+
+
+H = Histogram([0.5, 0.5])
+G = GaussianParams([0.0], [[1.0]])
+TAKES_AN_ORDER = {
+    "frontier": lambda a: df.frontier(H, H, a, "exclusive", 11),
+    "exclusive_curve_point": lambda a: df.exclusive_curve_point(H, H, a, 0.5),
+    "inclusive_curve_point": lambda a: df.inclusive_curve_point(H, H, a, 0.5),
+    "renyi_discrete": lambda a: df.renyi_discrete(H, H, a),
+    "renyi_gaussian": lambda a: df.renyi_gaussian(G, G, a),
+    "certify_frontier": lambda a: df.oracle.certify_frontier(
+        H, H, a, "exclusive", df.frontier(H, H, Alpha(2.0), "exclusive", 11), m=4
+    ),
+    "realizable_pairs": lambda a: df.oracle.realizable_pairs(H, H, a, "exclusive", df.oracle.enumerate_simplex(2, 4)),
+    "divergence_quadrature": lambda a: df.oracle.divergence_quadrature(G, G, a),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_AN_ORDER))
+@pytest.mark.parametrize("order", [2.0, "2", 2, None])
+def test_an_order_that_is_not_an_alpha_is_refused(name, order):
+    # a float gave a raw AttributeError; certify_frontier said
+    # "curve was traced for alpha=2.0, not alpha=2.0"
+    with pytest.raises(ParameterError, match=r"Alpha\.parse"):
+        TAKES_AN_ORDER[name](order)
+    TAKES_AN_ORDER[name](Alpha(2.0))
 
 
 class TestGaussianParams:

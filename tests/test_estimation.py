@@ -870,6 +870,42 @@ class TestPipeline:
         with pytest.raises(ParameterError, match="repeats an order"):
             PipelineConfig(alphas=alphas)
 
+    @pytest.mark.parametrize("fields, match", [
+        ({"k_clusters": "a"}, "must be integers"),
+        ({"knn_k": 2.5}, "must be integers"),
+        ({"grid_size": True}, "must be integers"),
+        ({"seed": None}, "must be integers"),
+        ({"k_clusters": 1}, "k_clusters must be >= 2"),
+        ({"knn_k": 0}, "knn_k must be >= 1"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"grid_size": 1}, "grid_size must be in"),
+        ({"grid_size": 2**32}, "grid_size must be in"),
+        ({"ridge": -1.0}, "ridge must be finite and nonnegative"),
+        ({"ridge": float("nan")}, "ridge must be finite and nonnegative"),
+        ({"ridge": "a"}, "ridge must be finite and nonnegative"),
+        ({"alphas": [Alpha.one()]}, "tuple of Alpha"),
+        ({"alphas": (1.0,)}, r"Alpha\.parse"),
+    ])
+    def test_every_field_is_checked_when_built(self, fields, match):
+        with pytest.raises(ParameterError, match=match):
+            PipelineConfig(**fields)
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"knn_k": 40}, "k=40 must be smaller than the P sample count 40"),
+        ({"knn_k": 30}, "k=30 must be smaller than the Q sample count 30"),
+        ({"k_clusters": 71}, "k=71 exceeds combined sample count 70"),
+    ])
+    def test_sample_counts_are_checked_before_any_stage(self, fields, match, monkeypatch):
+        # knn_k was checked only at the last stage, after k-means and every frontier
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage ran before the config was checked")
+
+        for name in ("fit_gaussian", "quantize", "knn_support_metrics"):
+            monkeypatch.setattr(estimation, name, no_stage)
+        rng = np.random.default_rng(34)
+        with pytest.raises(ParameterError, match=match):
+            evaluate_pipeline(rng.normal(size=(40, 2)), rng.normal(size=(30, 2)), PipelineConfig(**fields))
+
     def test_deterministic(self):
         rng = np.random.default_rng(33)
         xp = rng.normal(size=(300, 2))

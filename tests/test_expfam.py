@@ -25,7 +25,7 @@ from divfrontier import (
     natural_to_moment,
     renyi_gaussian,
 )
-from divfrontier.discrete_frontier import MAX_GRID_SIZE, _pareto_filter_triples
+from divfrontier.discrete_frontier import MAX_GRID_SIZE
 from divfrontier.divergences import _kl_axes, _whitened_pair
 from tests.conftest import conditioned_gaussian, pareto_filter_triples_loop, random_gaussian, rows_per_block
 
@@ -272,7 +272,7 @@ def frontier_kl_loop(P, Q, side, grid_size):
         else:
             pair = bregman_kl(tp.theta, gamma.theta, fam), bregman_kl(tq.theta, gamma.theta, fam)
         triples.append((float(lam), *pair))
-    return _pareto_filter_triples(triples)
+    return pareto_filter_triples_loop(triples)
 
 
 def equivalence_pair(d, kind):

@@ -293,15 +293,17 @@ class TestParetoPrefilter:
         j = np.where(rng.random(n) < on_front, len(vals) - 1 - i, rng.integers(0, len(vals), n))
         xy = np.column_stack([vals[i], vals[j]])
         xy.flat[rng.integers(0, xy.size, nans)] = np.nan
-        want = _lexsort_pareto_filter(xy)
         for given_as in (list(map(tuple, xy.tolist())), xy):
+            if np.isnan(xy).any():  # the filter refuses NaN, prefiltered or not
+                with pytest.raises(ParameterError, match="NaN"):
+                    pareto_filter(given_as)
+                continue
             got = pareto_filter(given_as)
-            # repr tells NaN from NaN and -0.0 from 0.0, which == does not
-            assert repr(got) == repr(want)
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(got) == repr(_lexsort_pareto_filter(xy))
             assert all(type(c) is float for pt in got for c in pt)
-            if not nans:
-                assert got == _loop_pareto_filter(xy.tolist())
-                assert _signs(got) == _signs(_loop_pareto_filter(xy.tolist()))
+            assert got == _loop_pareto_filter(xy.tolist())
+            assert _signs(got) == _signs(_loop_pareto_filter(xy.tolist()))
 
     def test_oracle_grid_with_most_points_on_the_front(self):
         p, q = Histogram([0.05, 0.95]), Histogram([0.95, 0.05])
@@ -446,6 +448,15 @@ class TestDominanceAndHausdorff:
         b = [(0.0, 0.5), (1.0, 1.0)]
         assert hausdorff_linf(a, b) == pytest.approx(0.5)
         assert hausdorff_linf(a, a) == 0.0
+
+    @pytest.mark.parametrize("bad", [[(0, 1, 2)], [(0, 1, 2), (3, 4, 5)], [(0, 1), (2,)], [(0.0, math.nan)], [0.5]])
+    def test_point_sets_that_are_not_pairs_are_refused(self, bad):
+        # three-column points read 0.0 between themselves in hausdorff_linf,
+        # and two of them were read as three pairs by the dominance margin
+        for a, b in ((bad, [(0.0, 1.0)]), ([(0.0, 1.0)], bad), (bad, bad)):
+            for measure in (hausdorff_linf, max_dominance_violation):
+                with pytest.raises(ParameterError, match="points must"):
+                    measure(a, b)
 
 
 class TestHausdorffOfEmptySets:
